@@ -1,6 +1,8 @@
 #include "compiler/cmmc.h"
 
 #include <algorithm>
+#include <set>
+#include <tuple>
 
 #include "support/digraph.h"
 #include "support/logging.h"
@@ -98,17 +100,12 @@ reduceDepGraph(DepGraph &g)
         if (e.backward || fwd.hasEdge(e.src, e.dst))
             kept.push_back(e);
     }
-    // Deduplicate forward edges that appeared multiple times.
+    // Deduplicate edges that appeared multiple times, keeping the first.
     std::vector<DepEdge> dedup;
-    for (const auto &e : kept) {
-        bool dup = false;
-        for (const auto &k : dedup)
-            if (k.src == e.src && k.dst == e.dst &&
-                k.backward == e.backward && k.loop == e.loop)
-                dup = true;
-        if (!dup)
+    std::set<std::tuple<size_t, size_t, bool, int32_t>> seenKeys;
+    for (const auto &e : kept)
+        if (seenKeys.insert({e.src, e.dst, e.backward, e.loop.v}).second)
             dedup.push_back(e);
-    }
     stats.forwardRemoved +=
         static_cast<int>(kept.size() - dedup.size());
     g.edges = std::move(dedup);
@@ -117,23 +114,28 @@ reduceDepGraph(DepGraph &g)
     // loop L, credit X) is subsumed when an alternative path from b to
     // a uses forward edges plus exactly one other backward edge with
     // the same loop and credit (paper §III-A3b). ---
+    std::vector<std::vector<size_t>> fwdSuccs(g.n);
+    for (const auto &e : g.edges)
+        if (!e.backward)
+            fwdSuccs[e.src].push_back(e.dst);
+    std::vector<size_t> seenBy(g.n, 0); // == search: visited by it.
+    size_t search = 0;
+    std::vector<size_t> stack;
     auto forwardReach = [&](size_t from, size_t to) {
         if (from == to)
             return true;
-        std::vector<bool> seen(g.n, false);
-        std::vector<size_t> stack{from};
-        seen[from] = true;
+        ++search;
+        stack.assign(1, from);
+        seenBy[from] = search;
         while (!stack.empty()) {
             size_t cur = stack.back();
             stack.pop_back();
             if (cur == to)
                 return true;
-            for (const auto &e : g.edges) {
-                if (e.backward || e.src != cur)
-                    continue;
-                if (!seen[e.dst]) {
-                    seen[e.dst] = true;
-                    stack.push_back(e.dst);
+            for (size_t nxt : fwdSuccs[cur]) {
+                if (seenBy[nxt] != search) {
+                    seenBy[nxt] = search;
+                    stack.push_back(nxt);
                 }
             }
         }

@@ -30,78 +30,122 @@ partitionAlgoName(PartitionAlgo algo)
     return "?";
 }
 
-double
-partitionCost(const PartitionProblem &prob, const std::vector<int> &assign,
-              bool *feasible)
+PartitionEvaluator::PartitionEvaluator(const PartitionProblem &prob)
+    : prob_(prob)
 {
-    bool ok = true;
+    succStart_.assign(prob.n + 1, 0);
+    for (const auto &e : prob.edges)
+        ++succStart_[e.first + 1];
+    for (int i = 0; i < prob.n; ++i)
+        succStart_[i + 1] += succStart_[i];
+    succ_.resize(prob.edges.size());
+    std::vector<int> fill(succStart_.begin(), succStart_.end() - 1);
+    for (const auto &[s, d] : prob.edges)
+        succ_[fill[s]++] = d;
+}
+
+double
+PartitionEvaluator::cost(const std::vector<int> &assign, bool *feasible)
+{
+    const PartitionProblem &prob = prob_;
     int parts = 0;
     for (int a : assign)
         parts = std::max(parts, a + 1);
 
-    // Per-partition ops and arity.
-    std::vector<int> ops(parts, 0), aux(parts, 0);
-    std::vector<std::set<int>> inSrcs(parts);  // External source nodes.
-    std::vector<std::set<int>> outNodes(parts); // Nodes w/ external dest.
+    // Per-partition ops and arity: distinct external source nodes
+    // feeding a partition, and nodes with an external destination.
+    // Edges are visited grouped by source, so a source is counted
+    // once per destination partition by stamping it there.
+    ops_.assign(parts, 0);
+    aux_.assign(parts, 0);
+    inSrcs_.assign(parts, 0);
+    outNodes_.assign(parts, 0);
+    lastSrc_.assign(parts, -1);
+    crossSrc_.clear();
+    crossDst_.clear();
     for (int i = 0; i < prob.n; ++i) {
-        ops[assign[i]] += prob.opCost[i];
+        ops_[assign[i]] += prob.opCost[i];
         if (prob.maxAux > 0)
-            aux[assign[i]] += prob.auxCost[i];
+            aux_[assign[i]] += prob.auxCost[i];
     }
-    for (const auto &[s, d] : prob.edges) {
-        if (assign[s] == assign[d])
-            continue;
-        inSrcs[assign[d]].insert(s);
-        outNodes[assign[s]].insert(s);
+    for (int s = 0; s < prob.n; ++s) {
+        const int a = assign[s];
+        bool external = false;
+        for (int k = succStart_[s]; k < succStart_[s + 1]; ++k) {
+            const int b = assign[succ_[k]];
+            if (a == b)
+                continue;
+            external = true;
+            crossSrc_.push_back(a);
+            crossDst_.push_back(b);
+            if (lastSrc_[b] != s) {
+                lastSrc_[b] = s;
+                ++inSrcs_[b];
+            }
+        }
+        outNodes_[a] += external;
     }
     for (int pIdx = 0; pIdx < parts; ++pIdx) {
-        if (ops[pIdx] > prob.maxOps ||
-            static_cast<int>(inSrcs[pIdx].size()) > prob.maxIn ||
-            static_cast<int>(outNodes[pIdx].size()) > prob.maxOut)
-            ok = false;
-        if (prob.maxAux > 0 && aux[pIdx] > prob.maxAux)
-            ok = false;
+        if (ops_[pIdx] > prob.maxOps || inSrcs_[pIdx] > prob.maxIn ||
+            outNodes_[pIdx] > prob.maxOut ||
+            (prob.maxAux > 0 && aux_[pIdx] > prob.maxAux)) {
+            if (feasible)
+                *feasible = false;
+            return 1e18;
+        }
     }
 
     // Acyclicity across partitions + retiming gaps via partition
-    // longest-path depths.
-    std::vector<std::set<int>> succ(parts);
-    std::vector<int> indeg(parts, 0);
-    for (const auto &[s, d] : prob.edges) {
-        int a = assign[s], b = assign[d];
-        if (a != b && succ[a].insert(b).second)
-            ++indeg[b];
+    // longest-path depths. Duplicate partition edges are kept: they
+    // change neither Kahn's visit count nor the longest paths.
+    partStart_.assign(parts + 1, 0);
+    indeg_.assign(parts, 0);
+    for (size_t e = 0; e < crossSrc_.size(); ++e) {
+        ++partStart_[crossSrc_[e] + 1];
+        ++indeg_[crossDst_[e]];
     }
-    std::deque<int> ready;
-    for (int i = 0; i < parts; ++i)
-        if (indeg[i] == 0)
-            ready.push_back(i);
-    std::vector<int> depth(parts, 0);
-    int seen = 0;
-    while (!ready.empty()) {
-        int cur = ready.front();
-        ready.pop_front();
-        ++seen;
-        for (int nxt : succ[cur]) {
-            depth[nxt] = std::max(depth[nxt], depth[cur] + 1);
-            if (--indeg[nxt] == 0)
-                ready.push_back(nxt);
+    for (int pIdx = 0; pIdx < parts; ++pIdx)
+        partStart_[pIdx + 1] += partStart_[pIdx];
+    partSucc_.resize(crossSrc_.size());
+    fill_.assign(partStart_.begin(), partStart_.end() - 1);
+    for (size_t e = 0; e < crossSrc_.size(); ++e)
+        partSucc_[fill_[crossSrc_[e]]++] = crossDst_[e];
+    depth_.assign(parts, 0);
+    ready_.clear();
+    for (int pIdx = 0; pIdx < parts; ++pIdx)
+        if (indeg_[pIdx] == 0)
+            ready_.push_back(pIdx);
+    for (size_t head = 0; head < ready_.size(); ++head) {
+        const int cur = ready_[head];
+        for (int k = partStart_[cur]; k < partStart_[cur + 1]; ++k) {
+            const int nxt = partSucc_[k];
+            depth_[nxt] = std::max(depth_[nxt], depth_[cur] + 1);
+            if (--indeg_[nxt] == 0)
+                ready_.push_back(nxt);
         }
     }
-    if (seen != parts)
-        ok = false; // Cycle across partitions.
+    if (static_cast<int>(ready_.size()) != parts) {
+        if (feasible)
+            *feasible = false; // Cycle across partitions.
+        return 1e18;
+    }
 
     double retime = 0.0;
-    if (ok) {
-        for (const auto &[s, d] : prob.edges) {
-            int gap = depth[assign[d]] - depth[assign[s]];
-            if (assign[s] != assign[d] && gap > 1)
-                retime += gap - 1;
-        }
+    for (const auto &[s, d] : prob.edges) {
+        int gap = depth_[assign[d]] - depth_[assign[s]];
+        if (assign[s] != assign[d] && gap > 1)
+            retime += gap - 1;
     }
     if (feasible)
-        *feasible = ok;
-    return ok ? parts + prob.alpha * retime : 1e18;
+        *feasible = true;
+    return parts + prob.alpha * retime;
+}
+
+double
+partitionCost(const PartitionProblem &prob, const std::vector<int> &assign,
+              bool *feasible)
+{
+    return PartitionEvaluator(prob).cost(assign, feasible);
 }
 
 namespace {
@@ -549,10 +593,11 @@ partitionCompute(dfg::Vudfg &graph, const CompilerOptions &options)
             ao.iterations = options.solverIterations;
             ao.seed = options.solverSeed;
             ao.lowerBound = (totalOps + prob.maxOps - 1) / prob.maxOps;
+            PartitionEvaluator eval(prob);
             auto res = solver::anneal(
                 prob.n, warm.assign,
                 [&](const std::vector<int> &a, bool *f) {
-                    return partitionCost(prob, a, f);
+                    return eval.cost(a, f);
                 },
                 ao);
             sol.assign = res.feasible ? res.assign : warm.assign;

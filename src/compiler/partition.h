@@ -46,8 +46,34 @@ struct PartitionSolution
     bool feasible = true;
 };
 
-/** Cost of a solution (#partitions + alpha * retiming gaps);
- *  +inf-ish when constraints are violated. */
+/**
+ * Cost of assignments to one problem: #partitions + alpha * retiming
+ * gaps, or 1e18 when a constraint (ops, in/out arity, aux capacity,
+ * acyclicity across partitions) is violated.
+ *
+ * Built once per problem and reused across evaluations: the edge
+ * adjacency is precomputed and every scratch buffer is kept, so an
+ * evaluation is O(n + edges + partitions) with no allocation once the
+ * buffers have grown. One evaluator per thread; it holds no shared
+ * state. `prob` must outlive it.
+ */
+class PartitionEvaluator
+{
+  public:
+    explicit PartitionEvaluator(const PartitionProblem &prob);
+
+    double cost(const std::vector<int> &assign, bool *feasible);
+
+  private:
+    const PartitionProblem &prob_;
+    std::vector<int> succStart_, succ_; ///< Edges by source (CSR).
+    std::vector<int> ops_, aux_, inSrcs_, outNodes_, lastSrc_;
+    std::vector<int> crossSrc_, crossDst_;  ///< Cross-partition edges.
+    std::vector<int> partStart_, partSucc_; ///< Partition graph (CSR).
+    std::vector<int> fill_, indeg_, depth_, ready_;
+};
+
+/** One-shot PartitionEvaluator(prob).cost(assign, feasible). */
 double partitionCost(const PartitionProblem &prob,
                      const std::vector<int> &assign, bool *feasible);
 

@@ -33,6 +33,9 @@ struct Placer
     std::vector<PuType> groupType;
     /** Inter-group nets: (groupA, groupB) -> weight. */
     std::map<std::pair<int, int>, double> nets;
+    /** Per group: (other group, weight) of every net touching it, in
+     *  `nets` order, so a move costs O(degree) rather than O(nets). */
+    std::vector<std::vector<std::pair<int, double>>> incident;
 
     int
     manhattan(int ca, int cb) const
@@ -50,15 +53,15 @@ struct Placer
         return cost;
     }
 
+    /** Weighted wirelength of the nets touching `group`. Sums the
+     *  same terms in the same order as a filtered walk of `nets`, so
+     *  the result is bit-identical to it. */
     double
     groupCost(int group) const
     {
         double cost = 0.0;
-        for (const auto &[key, w] : nets) {
-            if (key.first != group && key.second != group)
-                continue;
-            cost += w * manhattan(cellOf[key.first], cellOf[key.second]);
-        }
+        for (const auto &[other, w] : incident[group])
+            cost += w * manhattan(cellOf[group], cellOf[other]);
         return cost;
     }
 };
@@ -89,7 +92,7 @@ placeAndRoute(dfg::Vudfg &graph, const CompilerOptions &options)
         }
     }
 
-    Placer placer{options, graph, 0, 0, {}, {}, {}, {}};
+    Placer placer{options, graph, 0, 0, {}, {}, {}, {}, {}};
     placer.groupType.assign(numGroups, PuType::Pcu);
     int pcuNeed = 0, pmuNeed = 0, agNeed = 0;
     {
@@ -156,6 +159,11 @@ placeAndRoute(dfg::Vudfg &graph, const CompilerOptions &options)
                    : (s.vec > 1 ? 2.0 : 1.0);
         auto key = std::minmax(a, b);
         placer.nets[{key.first, key.second}] += w;
+    }
+    placer.incident.resize(numGroups);
+    for (const auto &[key, w] : placer.nets) {
+        placer.incident[key.first].push_back({key.second, w});
+        placer.incident[key.second].push_back({key.first, w});
     }
 
     // --- Initial placement: group order, round-robin into free cells

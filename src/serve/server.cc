@@ -558,18 +558,22 @@ Server::watchdogLoop()
                 tick, std::chrono::milliseconds(50)));
         auto now = std::chrono::steady_clock::now();
         std::lock_guard<std::mutex> lock(inflightMu_);
-        for (auto &[seq, fl] : inflight_) {
-            if (fl->cancel.load())
-                continue;
-            if (msBetween(fl->started, now) > opt_.requestDeadlineMs) {
-                fl->cancel.store(true);
-                count("serve.watchdog.cancelled");
-                warn("sarad: watchdog cancelling request '", fl->id,
-                     "' (", fl->workload, "): past ",
-                     opt_.requestDeadlineMs, " ms deadline");
-            }
-        }
+        for (auto &[seq, fl] : inflight_)
+            cancelIfLate(*fl, now);
     }
+}
+
+void
+Server::cancelIfLate(Inflight &fl, std::chrono::steady_clock::time_point now)
+{
+    if (fl.cancel.load() ||
+        msBetween(fl.started, now) <= opt_.requestDeadlineMs)
+        return;
+    if (fl.cancel.exchange(true))
+        return; // The other caller got there first.
+    count("serve.watchdog.cancelled");
+    warn("sarad: watchdog cancelling request '", fl.id, "' (",
+         fl.workload, "): past ", opt_.requestDeadlineMs, " ms deadline");
 }
 
 std::shared_ptr<const compiler::CompileResult>
@@ -604,8 +608,7 @@ Server::memStore(const std::string &key,
 
 std::string
 Server::executeCompileOrRun(const Request &req, double queueMs,
-                            double &serviceMs,
-                            const std::atomic<bool> *cancel)
+                            double &serviceMs, Inflight *fl)
 {
     auto t0 = std::chrono::steady_clock::now();
     workloads::WorkloadConfig cfg;
@@ -664,7 +667,12 @@ Server::executeCompileOrRun(const Request &req, double queueMs,
         // Every region thread of the parallel core polls this flag
         // each cycle, so the watchdog deadline holds at any
         // --sim-threads setting.
-        rc.sim.cancel = cancel;
+        rc.sim.cancel = fl ? &fl->cancel : nullptr;
+        // The watchdog wakes every deadline/8 (at least 1 ms), so a
+        // short simulation could finish before it notices a compile
+        // that already overran: check once more before simulating.
+        if (fl)
+            cancelIfLate(*fl, std::chrono::steady_clock::now());
         rc.sim.simThreads = opt_.simThreads;
         if (req.maxCycles)
             rc.sim.maxCycles = req.maxCycles;
@@ -721,8 +729,8 @@ Server::execute(const Ticket &ticket)
     }
 
     try {
-        response = executeCompileOrRun(ticket.req, queueMs, serviceMs,
-                                       fl ? &fl->cancel : nullptr);
+        response =
+            executeCompileOrRun(ticket.req, queueMs, serviceMs, fl.get());
     } catch (const fault::HangError &e) {
         // Structured escalation: the classified FailureReport rides
         // inside the error response; the daemon keeps serving. A

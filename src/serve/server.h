@@ -233,12 +233,15 @@ class Server
     void readerLoop(std::shared_ptr<Conn> conn);
     void workerLoop();
     void watchdogLoop();
+    /** Raise `fl`'s cancel flag, once, if it has run past the request
+     *  deadline at `now`. */
+    void cancelIfLate(Inflight &fl,
+                      std::chrono::steady_clock::time_point now);
     void handleLine(const std::shared_ptr<Conn> &conn,
                     const std::string &line);
     void execute(const Ticket &ticket);
     std::string executeCompileOrRun(const Request &req, double queueMs,
-                                    double &serviceMs,
-                                    const std::atomic<bool> *cancel);
+                                    double &serviceMs, Inflight *fl);
     void sendLine(const std::shared_ptr<Conn> &conn,
                   const std::string &line);
     double retryAfterHintMs() const;

@@ -129,17 +129,65 @@ Digraph::transitiveReduction()
     if (!order)
         panic("transitiveReduction requires a DAG");
 
-    // For each node u (in reverse topological order) compute the set of
-    // nodes reachable through paths of length >= 2 and drop direct edges
-    // to them.
-    for (size_t u = 0; u < size(); ++u) {
-        // Candidate edges sorted for determinism.
-        std::vector<size_t> outs = succs_[u];
-        std::sort(outs.begin(), outs.end());
+    // reach[u] is the bitset of nodes reachable from u along >= 1 edge.
+    // Nodes are visited in reverse topological order, so a successor's
+    // set is complete before its predecessors read it. An edge u -> v is
+    // redundant iff v is reachable through another successor w of u;
+    // every such w precedes v topologically, so visiting u's distinct
+    // successors in ascending topological position finds v already in
+    // reach[u] exactly when the edge is redundant. Each node's closure
+    // is the union over its kept successors, since a dropped successor
+    // is itself reachable through a kept one.
+    const size_t n = size();
+    const size_t words = (n + 63) / 64;
+    std::vector<size_t> pos(n);
+    for (size_t i = 0; i < n; ++i)
+        pos[(*order)[i]] = i;
+    std::vector<uint64_t> reach(n * words, 0);
+
+    std::vector<size_t> mark(n, SIZE_MAX); // mark[v] == u: drop u -> v.
+    std::vector<std::pair<size_t, size_t>> dropped; // (dst, src)
+    std::vector<size_t> outs;
+    for (size_t i = n; i-- > 0;) {
+        const size_t u = (*order)[i];
+        outs = succs_[u];
+        std::sort(outs.begin(), outs.end(),
+                  [&](size_t a, size_t b) { return pos[a] < pos[b]; });
+        outs.erase(std::unique(outs.begin(), outs.end()), outs.end());
+        uint64_t *ru = &reach[u * words];
+        bool any = false;
         for (size_t v : outs) {
-            if (reachable(u, v, /*skip_direct=*/true))
-                removeEdge(u, v);
+            if ((ru[v / 64] >> (v % 64)) & 1) {
+                mark[v] = u;
+                dropped.push_back({v, u});
+                any = true;
+                continue;
+            }
+            ru[v / 64] |= uint64_t{1} << (v % 64);
+            const uint64_t *rv = &reach[v * words];
+            for (size_t w = 0; w < words; ++w)
+                ru[w] |= rv[w];
         }
+        if (any) {
+            auto &ss = succs_[u];
+            ss.erase(std::remove_if(ss.begin(), ss.end(),
+                                    [&](size_t v) { return mark[v] == u; }),
+                     ss.end());
+        }
+    }
+
+    // Drop the same edges from the predecessor lists, keeping the
+    // survivors in their original order.
+    std::fill(mark.begin(), mark.end(), SIZE_MAX);
+    std::sort(dropped.begin(), dropped.end());
+    for (size_t k = 0; k < dropped.size();) {
+        const size_t v = dropped[k].first;
+        for (; k < dropped.size() && dropped[k].first == v; ++k)
+            mark[dropped[k].second] = v;
+        auto &ps = preds_[v];
+        ps.erase(std::remove_if(ps.begin(), ps.end(),
+                                [&](size_t u) { return mark[u] == v; }),
+                 ps.end());
     }
 }
 

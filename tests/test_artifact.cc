@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <thread>
 
 #include <sys/wait.h>
@@ -176,6 +178,50 @@ TEST(Artifact, CompileTwiceYieldsByteIdenticalArtifacts)
                   artifact::encodeCompileResult(r2))
             << name;
     }
+}
+
+TEST(Artifact, CompileDigestsMatchGolden)
+{
+    // Pins compile output across commits: the SHA-256 of the packed
+    // artifact for every workload at par 8 with default options, under
+    // the default traversal partitioner and the MIP-lite solver. Any
+    // change to placement, routing, partitioning or lowering output
+    // shows up here; the golden is only regenerated when a change is
+    // meant to alter compile output.
+    std::map<std::string, std::string> golden;
+    {
+        std::ifstream in(std::string(GOLDEN_DIR) + "/compile_digests.txt");
+        ASSERT_TRUE(in) << "missing tests/golden/compile_digests.txt";
+        for (std::string line; std::getline(in, line);) {
+            if (line.empty() || line[0] == '#')
+                continue;
+            std::istringstream fields(line);
+            std::string workload, algo, digest;
+            fields >> workload >> algo >> digest;
+            golden[workload + " " + algo] = digest;
+        }
+    }
+    workloads::WorkloadConfig cfg;
+    cfg.par = 8;
+    size_t checked = 0;
+    for (const auto &name : workloads::allWorkloadNames()) {
+        for (auto algo : {compiler::PartitionAlgo::DfsFwd,
+                          compiler::PartitionAlgo::Solver}) {
+            compiler::CompilerOptions opt;
+            opt.partitioner = algo;
+            auto w = workloads::buildByName(name, cfg);
+            auto r = compiler::compile(w.program, opt);
+            std::string bytes = artifact::packArtifact(
+                artifact::contentKey(w.program, opt), r);
+            std::string id =
+                name + " " + compiler::partitionAlgoName(algo);
+            auto it = golden.find(id);
+            ASSERT_NE(it, golden.end()) << "no golden digest for " << id;
+            EXPECT_EQ(it->second, support::Sha256::hexOf(bytes)) << id;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, golden.size()) << "stale golden entries";
 }
 
 TEST(Artifact, ContentKeyIsStableAndInputSensitive)

@@ -7,13 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <deque>
+#include <set>
+
+#include "artifact/artifact.h"
 #include "compiler/merging.h"
 #include "compiler/partition.h"
 #include "compiler/pnr.h"
 #include "ir/builder.h"
+#include "jobs/jobs.h"
 #include "solver/mip.h"
 #include "support/rng.h"
 #include "tests/helpers.h"
+#include "workloads/workload.h"
 
 namespace sara {
 namespace {
@@ -80,6 +87,147 @@ TEST(Partition, DiamondRetimingCost)
     EXPECT_TRUE(ok);
     // 6 partitions + alpha * (gap of edge 0->5 = depth 5 - 1 = 4).
     EXPECT_NEAR(cost, 6 + prob.alpha * 4, 1e-9);
+}
+
+/** Set-based partition cost: the oracle PartitionEvaluator::cost must
+ *  match bit for bit. */
+double
+referencePartitionCost(const PartitionProblem &prob,
+                       const std::vector<int> &assign, bool *feasible)
+{
+    bool ok = true;
+    int parts = 0;
+    for (int a : assign)
+        parts = std::max(parts, a + 1);
+
+    std::vector<int> ops(parts, 0), aux(parts, 0);
+    std::vector<std::set<int>> inSrcs(parts);
+    std::vector<std::set<int>> outNodes(parts);
+    for (int i = 0; i < prob.n; ++i) {
+        ops[assign[i]] += prob.opCost[i];
+        if (prob.maxAux > 0)
+            aux[assign[i]] += prob.auxCost[i];
+    }
+    for (const auto &[s, d] : prob.edges) {
+        if (assign[s] == assign[d])
+            continue;
+        inSrcs[assign[d]].insert(s);
+        outNodes[assign[s]].insert(s);
+    }
+    for (int pIdx = 0; pIdx < parts; ++pIdx) {
+        if (ops[pIdx] > prob.maxOps ||
+            static_cast<int>(inSrcs[pIdx].size()) > prob.maxIn ||
+            static_cast<int>(outNodes[pIdx].size()) > prob.maxOut)
+            ok = false;
+        if (prob.maxAux > 0 && aux[pIdx] > prob.maxAux)
+            ok = false;
+    }
+
+    std::vector<std::set<int>> succ(parts);
+    std::vector<int> indeg(parts, 0);
+    for (const auto &[s, d] : prob.edges) {
+        int a = assign[s], b = assign[d];
+        if (a != b && succ[a].insert(b).second)
+            ++indeg[b];
+    }
+    std::deque<int> ready;
+    for (int i = 0; i < parts; ++i)
+        if (indeg[i] == 0)
+            ready.push_back(i);
+    std::vector<int> depth(parts, 0);
+    int seen = 0;
+    while (!ready.empty()) {
+        int cur = ready.front();
+        ready.pop_front();
+        ++seen;
+        for (int nxt : succ[cur]) {
+            depth[nxt] = std::max(depth[nxt], depth[cur] + 1);
+            if (--indeg[nxt] == 0)
+                ready.push_back(nxt);
+        }
+    }
+    if (seen != parts)
+        ok = false;
+
+    double retime = 0.0;
+    if (ok) {
+        for (const auto &[s, d] : prob.edges) {
+            int gap = depth[assign[d]] - depth[assign[s]];
+            if (assign[s] != assign[d] && gap > 1)
+                retime += gap - 1;
+        }
+    }
+    if (feasible)
+        *feasible = ok;
+    return ok ? parts + prob.alpha * retime : 1e18;
+}
+
+/** Which single constraint a random family is built to violate. */
+enum class Stress { Cycles, Arity, Aux, Mixed };
+
+TEST(Partition, EvaluatorMatchesSetBasedReference)
+{
+    // One evaluator per problem, reused across many assignments (as in
+    // the solver), against a fresh reference evaluation each time. Each
+    // family relaxes every constraint but one, so both outcomes of that
+    // constraint are seen; edges always include duplicates.
+    Rng rng(2024);
+    for (Stress family :
+         {Stress::Cycles, Stress::Arity, Stress::Aux, Stress::Mixed}) {
+        int feasibleSeen = 0, infeasibleSeen = 0;
+        for (int trial = 0; trial < 60; ++trial) {
+            PartitionProblem prob;
+            prob.n = static_cast<int>(rng.intIn(1, 32));
+            prob.opCost.resize(prob.n);
+            for (int &c : prob.opCost)
+                c = static_cast<int>(rng.intIn(0, 2));
+            for (int d = 1; d < prob.n; ++d) {
+                int fanIn = static_cast<int>(rng.intIn(0, 3));
+                for (int k = 0; k < fanIn; ++k) {
+                    int s = static_cast<int>(rng.index(d));
+                    prob.edges.push_back({s, d});
+                    if (rng.chance(0.2))
+                        prob.edges.push_back({s, d}); // Duplicate.
+                }
+            }
+            prob.maxOps = family == Stress::Mixed
+                              ? static_cast<int>(rng.intIn(2, 8))
+                              : 1000;
+            prob.maxIn = prob.maxOut =
+                family == Stress::Arity || family == Stress::Mixed
+                    ? static_cast<int>(rng.intIn(1, 4))
+                    : 1000;
+            if (family == Stress::Aux || family == Stress::Mixed) {
+                prob.auxCost.resize(prob.n);
+                for (int &c : prob.auxCost)
+                    c = static_cast<int>(rng.intIn(0, 3));
+                prob.maxAux = static_cast<int>(rng.intIn(2, 6));
+            }
+            prob.alpha = 1.0 / static_cast<double>(rng.intIn(1, 6));
+
+            PartitionEvaluator eval(prob);
+            for (int rep = 0; rep < 40; ++rep) {
+                int parts = static_cast<int>(rng.intIn(1, prob.n));
+                std::vector<int> assign(prob.n);
+                for (int &a : assign)
+                    a = static_cast<int>(rng.index(parts));
+                // Only the Cycles and Mixed families may form cycles:
+                // elsewhere partition ids never decrease along an edge.
+                if (family == Stress::Arity || family == Stress::Aux)
+                    std::sort(assign.begin(), assign.end());
+                bool ref = false, got = true;
+                double want = referencePartitionCost(prob, assign, &ref);
+                double cost = eval.cost(assign, &got);
+                ASSERT_EQ(std::bit_cast<uint64_t>(want),
+                          std::bit_cast<uint64_t>(cost))
+                    << "trial " << trial << " rep " << rep;
+                ASSERT_EQ(ref, got) << "trial " << trial << " rep " << rep;
+                (ref ? feasibleSeen : infeasibleSeen)++;
+            }
+        }
+        EXPECT_GT(feasibleSeen, 0) << static_cast<int>(family);
+        EXPECT_GT(infeasibleSeen, 0) << static_cast<int>(family);
+    }
 }
 
 TEST(Partition, SolverNotWorseThanWarmStart)
@@ -223,6 +371,56 @@ TEST(Solver, AnnealFindsSingletonOptimum)
         ao);
     ASSERT_TRUE(res.feasible);
     EXPECT_LE(res.cost, 3.5); // Within the 15% gap of optimum 3.
+}
+
+TEST(Solver, AnnealKeepsIdsInRangeFromAllSingletons)
+{
+    // With every node alone, a relocation opens partition id n; the
+    // renumbering must cover it (checked by the sanitizer builds).
+    for (int n : {2, 3, 5}) {
+        PartitionProblem prob = chainProblem(n, 1);
+        std::vector<int> warm(n);
+        for (int i = 0; i < n; ++i)
+            warm[i] = i;
+        solver::AnnealOptions ao;
+        ao.iterations = 2000;
+        PartitionEvaluator eval(prob);
+        auto res = solver::anneal(
+            n, warm,
+            [&](const std::vector<int> &a, bool *f) {
+                for (int p : a)
+                    EXPECT_LT(p, n);
+                return eval.cost(a, f);
+            },
+            ao);
+        ASSERT_TRUE(res.feasible) << n;
+        EXPECT_EQ(res.cost, static_cast<double>(n)) << n;
+    }
+}
+
+TEST(Solver, ConcurrentCompilesMatchSequential)
+{
+    // Solver state lives in each call (no statics, no thread-locals):
+    // two solver compiles running at once on jobs threads produce the
+    // same artifact as one compile run alone.
+    workloads::WorkloadConfig cfg;
+    cfg.par = 8;
+    CompilerOptions opt;
+    opt.partitioner = PartitionAlgo::Solver;
+    auto compileKmeans = [&] {
+        auto w = workloads::buildByName("kmeans", cfg);
+        return artifact::encodeCompileResult(compile(w.program, opt));
+    };
+    const std::string sequential = compileKmeans();
+    std::vector<std::string> concurrent(2);
+    jobs::BatchOptions bo;
+    bo.threads = 2;
+    auto report = jobs::forEachIndex(
+        concurrent.size(), "kmeans-solver",
+        [&](size_t i) { concurrent[i] = compileKmeans(); }, bo);
+    ASSERT_TRUE(report.allOk()) << report.firstError();
+    for (const auto &bytes : concurrent)
+        EXPECT_TRUE(bytes == sequential);
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "support/digraph.h"
 #include "support/json.h"
 #include "support/logging.h"
@@ -101,6 +103,72 @@ TEST(Digraph, TransitiveReductionPreservesReachability)
                                         << " node " << i;
         }
     }
+}
+
+/** Per-edge-DFS transitive reduction: the oracle for the exact output
+ *  of Digraph::transitiveReduction. */
+void
+referenceTransitiveReduction(Digraph &g)
+{
+    ASSERT_TRUE(g.topoSort().has_value());
+    for (size_t u = 0; u < g.size(); ++u) {
+        std::vector<size_t> outs = g.succs(u);
+        std::sort(outs.begin(), outs.end());
+        for (size_t v : outs) {
+            if (g.reachable(u, v, /*skip_direct=*/true))
+                g.removeEdge(u, v);
+        }
+    }
+}
+
+TEST(Digraph, TransitiveReductionMatchesPerEdgeReference)
+{
+    // Random DAGs whose ids are a shuffled topological order, edges
+    // inserted in shuffled order and some twice (dedup=false): every
+    // adjacency list, in order, must equal the per-edge-DFS reference's.
+    Rng rng(17);
+    auto shuffle = [&](auto &v) {
+        for (size_t i = v.size(); i > 1; --i)
+            std::swap(v[i - 1], v[rng.index(i)]);
+    };
+    for (int trial = 0; trial < 200; ++trial) {
+        size_t n = static_cast<size_t>(rng.intIn(1, 70));
+        std::vector<size_t> id(n);
+        for (size_t i = 0; i < n; ++i)
+            id[i] = i;
+        shuffle(id);
+        double density = rng.realIn(0.02, 0.4);
+        std::vector<std::pair<size_t, size_t>> edges;
+        for (size_t i = 0; i < n; ++i)
+            for (size_t j = i + 1; j < n; ++j)
+                if (rng.chance(density)) {
+                    edges.push_back({id[i], id[j]});
+                    if (rng.chance(0.15))
+                        edges.push_back({id[i], id[j]}); // Duplicate.
+                }
+        shuffle(edges);
+        Digraph g(n);
+        for (const auto &[s, d] : edges)
+            g.addEdge(s, d, /*dedup=*/false);
+        Digraph want = g;
+        referenceTransitiveReduction(want);
+        g.transitiveReduction();
+        for (size_t u = 0; u < n; ++u) {
+            ASSERT_EQ(want.succs(u), g.succs(u))
+                << "trial " << trial << " node " << u;
+            ASSERT_EQ(want.preds(u), g.preds(u))
+                << "trial " << trial << " node " << u;
+        }
+    }
+}
+
+TEST(Digraph, TransitiveReductionRejectsCycles)
+{
+    Digraph g(3);
+    g.addEdge(0, 1);
+    g.addEdge(1, 2);
+    g.addEdge(2, 0);
+    EXPECT_THROW(g.transitiveReduction(), PanicError);
 }
 
 TEST(Digraph, ReachableSkipDirect)
