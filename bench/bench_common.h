@@ -167,17 +167,6 @@ class BenchJson
     /** Direct writer access for nested row values (objects/arrays). */
     json::Writer &writer() { return w_; }
 
-    /** Close the current top-level array and open a sibling one
-     *  (e.g. bench_perf's "scaling" curves next to "rows"); the
-     *  beginRow()/endRow() helpers then append to the new array. */
-    BenchJson &
-    section(const std::string &name)
-    {
-        w_.endArray();
-        w_.key(name).beginArray();
-        return *this;
-    }
-
     /** Close the document and write BENCH_<figure>.json (or `path`). */
     void
     write(std::string path = "")

@@ -3,22 +3,11 @@
  * Host-throughput microbenchmark for the simulator event core. Unlike
  * the figure binaries (which reproduce *simulated* results), this one
  * measures how fast the simulator itself runs: wall-clock Mcycles/s
- * and events/s per workload, the spurious-wakeup ratio under the
- * targeted notifyOne policy vs the broadcast notifyAll baseline, a
- * host sampling-profiler breakdown of where the wall time goes
- * (scheduler drain, CV waits, fire path, NoC arbitration, DRAM model),
- * and peak RSS. Each workload compiles once and re-simulates `--reps`
- * times per configuration (best-of to shed scheduler noise).
- *
- * A second sweep drives the region-parallel event core: every
- * workload re-simulates at --scale-threads (default 1,2,4,8) and the
- * resulting curves (Mcycles/s, events/s, barrier-wait ratio, region
- * and quantum counts) land in the "scaling" section of the JSON. The
- * sweep aborts if any thread count disagrees with the sequential
- * cycle count — a perf run doubles as a cycle-identity check for the
- * parallel core. Wall-clock points are honest measurements of this
- * host; on a single-core runner the parallel curves will not show
- * speedup and are still recorded as such.
+ * and events/s per workload, the spurious-wakeup ratio, a host
+ * sampling-profiler breakdown of where the wall time goes (scheduler
+ * drain, CV waits, fire path, NoC arbitration, DRAM model), and peak
+ * RSS. Each workload compiles once and re-simulates `--reps` times per
+ * mode (best-of to shed scheduler noise).
  *
  * Sweep points route through the src/jobs pool: `-j N` runs them
  * concurrently (deterministic output order; results land in
@@ -31,14 +20,12 @@
  * (getrusage ru_maxrss, which is KiB on Linux) and as MiB (KiB/1024)
  * in the table — binary units throughout, never decimal MB.
  *
- * Simulated cycle counts must be identical across wakeup policies —
- * the benchmark aborts if they are not, so a perf run doubles as a
- * cycle-identity check. The deterministic counters (cycles, events,
- * wakeups, spurious) land in BENCH_perf.json, which CI diffs against
- * bench/golden_perf.json; wall-times are reported but never gated.
+ * The deterministic counters (cycles, events, wakeups, spurious) land
+ * in BENCH_perf.json, which CI diffs against bench/golden_perf.json;
+ * wall-times are reported but never gated.
  *
  *   bench_perf [--reps N] [--workloads mlp,pr,...] [--out FILE.json]
- *              [-j N] [--scale-threads 1,2,4,8]
+ *              [-j N]
  */
 
 #include <chrono>
@@ -61,7 +48,6 @@ struct PerfOptions
     std::string out = "BENCH_perf.json";
     std::vector<std::string> workloads = {"mlp", "lstm", "gda",
                                           "logreg", "ms", "pr"};
-    std::vector<int> scaleThreads = {1, 2, 4, 8};
 };
 
 std::vector<std::string>
@@ -98,22 +84,15 @@ parseArgs(int argc, char **argv)
             opt.out = next();
         else if (arg == "--workloads")
             opt.workloads = splitList(next());
-        else if (arg == "--scale-threads") {
-            opt.scaleThreads.clear();
-            for (const std::string &t : splitList(next()))
-                opt.scaleThreads.push_back(std::stoi(t));
-        } else
+        else
             fatal("unknown option ", arg,
                   " (supported: --reps N, --workloads a,b,c, --out F, "
-                  "-j N, --scale-threads 1,2,4)");
+                  "-j N)");
     }
     if (opt.reps < 1)
         fatal("--reps must be >= 1");
     if (opt.jobs < 0)
         fatal("-j must be >= 0");
-    if (opt.scaleThreads.empty() || opt.scaleThreads.front() != 1)
-        fatal("--scale-threads must start with 1 (the sequential "
-              "baseline every other point is checked against)");
     return opt;
 }
 
@@ -140,15 +119,13 @@ struct Measure
 
 Measure
 simulate(const workloads::Workload &w, runtime::RunConfig rc,
-         const runtime::RunOutcome &compiled, bool noc, bool targeted,
-         int reps, int simThreads = 1, bool profile = false)
+         const runtime::RunOutcome &compiled, bool noc, int reps,
+         bool profile)
 {
     rc.check = false;
     rc.cachingCompiler = nullptr;
     rc.preCompiled = &compiled.compiled;
     rc.sim.useNoc = noc;
-    rc.sim.targetedWakeups = targeted;
-    rc.sim.simThreads = simThreads;
     rc.sim.traceFile.clear();
     Measure m;
     auto &prof = telemetry::HostProfiler::global();
@@ -209,110 +186,83 @@ perfMain(int argc, char **argv)
     });
 
     Table table({"app", "mode", "cycles", "ms", "Mcyc/s", "Mev/s",
-                 "wakeups", "spurious%", "bcast spur%", "rss MiB"});
+                 "wakeups", "spurious%", "rss MiB"});
     BenchJson out("perf");
 
-    // Sampling profiler: attributes the targeted runs' wall time to
+    // Sampling profiler: attributes each point's wall time to
     // event-core phases (~200us per sample). Only meaningful when
     // sweep points run one at a time.
     const bool profile = opt.jobs == 1;
     auto &prof = telemetry::HostProfiler::global();
     prof.start();
 
-    // Wakeup-policy comparison: one point per (workload, mode).
-    struct PolicyPoint
+    // One point per (workload, mode).
+    struct Point
     {
-        Measure tgt, bcast;
+        Measure m;
         uint64_t rss = 0;
     };
-    std::vector<PolicyPoint> pts(nw * 2);
-    sweep(pts.size(), "perf-policy", opt.jobs, [&](size_t p) {
+    std::vector<Point> pts(nw * 2);
+    sweep(pts.size(), "perf-sim", opt.jobs, [&](size_t p) {
         size_t i = p / 2;
         bool noc = (p % 2) == 1;
-        PolicyPoint &pt = pts[p];
-        pt.tgt = simulate(ws[i], rc, compiled[i], noc, true, opt.reps,
-                          1, profile);
-        pt.bcast =
-            simulate(ws[i], rc, compiled[i], noc, false, opt.reps);
-        if (pt.tgt.sim.cycles != pt.bcast.sim.cycles)
-            fatal(opt.workloads[i],
-                  ": wakeup policies disagree on cycles (",
-                  pt.tgt.sim.cycles, " targeted vs ",
-                  pt.bcast.sim.cycles, " broadcast)");
-        pt.rss = peakRssKib();
+        pts[p].m = simulate(ws[i], rc, compiled[i], noc, opt.reps, profile);
+        pts[p].rss = peakRssKib();
     });
 
-    uint64_t totalWake[2] = {0, 0}, totalSpur[2] = {0, 0};
+    uint64_t totalWake = 0, totalSpur = 0;
     uint64_t phaseAgg[telemetry::kNumHostPhases] = {};
-    auto ratio = [](const sim::SimResult &s) {
-        return s.wakeups ? static_cast<double>(s.spuriousWakeups) /
-                               static_cast<double>(s.wakeups)
-                         : 0.0;
+    auto ratio = [](uint64_t spur, uint64_t wake) {
+        return wake ? static_cast<double>(spur) / static_cast<double>(wake)
+                    : 0.0;
     };
     for (size_t p = 0; p < pts.size(); ++p) {
         const std::string &name = opt.workloads[p / 2];
         const char *mode = (p % 2) ? "noc" : "fixed";
-        const PolicyPoint &pt = pts[p];
-        double sec = pt.tgt.bestMs / 1e3;
-        double mcycS = sec > 0 ? pt.tgt.sim.cycles / sec / 1e6 : 0.0;
-        double mevS =
-            sec > 0 ? pt.tgt.sim.hostEvents / sec / 1e6 : 0.0;
+        const Measure &m = pts[p].m;
+        double sec = m.bestMs / 1e3;
+        double mcycS = sec > 0 ? m.sim.cycles / sec / 1e6 : 0.0;
+        double mevS = sec > 0 ? m.sim.hostEvents / sec / 1e6 : 0.0;
+        double spurRatio = ratio(m.sim.spuriousWakeups, m.sim.wakeups);
         for (int ph = 0; ph < telemetry::kNumHostPhases; ++ph)
-            phaseAgg[ph] += pt.tgt.phase[ph];
-        totalWake[0] += pt.tgt.sim.wakeups;
-        totalSpur[0] += pt.tgt.sim.spuriousWakeups;
-        totalWake[1] += pt.bcast.sim.wakeups;
-        totalSpur[1] += pt.bcast.sim.spuriousWakeups;
+            phaseAgg[ph] += m.phase[ph];
+        totalWake += m.sim.wakeups;
+        totalSpur += m.sim.spuriousWakeups;
 
-        table.addRow({name, mode, std::to_string(pt.tgt.sim.cycles),
-                      Table::fmt(pt.tgt.bestMs, 2),
-                      Table::fmt(mcycS, 2), Table::fmt(mevS, 2),
-                      std::to_string(pt.tgt.sim.wakeups),
-                      Table::fmt(100.0 * ratio(pt.tgt.sim), 1),
-                      Table::fmt(100.0 * ratio(pt.bcast.sim), 1),
-                      Table::fmt(pt.rss / 1024.0, 0)});
+        table.addRow({name, mode, std::to_string(m.sim.cycles),
+                      Table::fmt(m.bestMs, 2), Table::fmt(mcycS, 2),
+                      Table::fmt(mevS, 2), std::to_string(m.sim.wakeups),
+                      Table::fmt(100.0 * spurRatio, 1),
+                      Table::fmt(pts[p].rss / 1024.0, 0)});
 
         out.beginRow()
             .kv("workload", name)
             .kv("mode", mode)
-            .kv("cycles", pt.tgt.sim.cycles)
-            .kv("events", pt.tgt.sim.hostEvents)
-            .kv("wakeups", pt.tgt.sim.wakeups)
-            .kv("spurious", pt.tgt.sim.spuriousWakeups)
-            .kv("bcast_wakeups", pt.bcast.sim.wakeups)
-            .kv("bcast_spurious", pt.bcast.sim.spuriousWakeups)
-            .kv("host_ms", pt.tgt.bestMs)
-            .kv("bcast_host_ms", pt.bcast.bestMs)
+            .kv("cycles", m.sim.cycles)
+            .kv("events", m.sim.hostEvents)
+            .kv("wakeups", m.sim.wakeups)
+            .kv("spurious", m.sim.spuriousWakeups)
+            .kv("host_ms", m.bestMs)
             .kv("mcycles_per_s", mcycS)
             .kv("events_per_s", mevS * 1e6)
-            .kv("spurious_ratio", ratio(pt.tgt.sim))
-            .kv("bcast_spurious_ratio", ratio(pt.bcast.sim))
-            .kv("peak_rss_kib", pt.rss);
-        // Wall-time attribution for the targeted runs of this row.
+            .kv("spurious_ratio", spurRatio)
+            .kv("peak_rss_kib", pts[p].rss);
+        // Wall-time attribution for this row.
         out.writer().key("host_profile").beginObject();
-        out.writer().kv("samples", pt.tgt.phaseTotal);
+        out.writer().kv("samples", m.phaseTotal);
         for (int ph = 0; ph < telemetry::kNumHostPhases; ++ph)
             out.writer().kv(telemetry::hostPhaseName(
                                 static_cast<telemetry::HostPhase>(ph)),
-                            pt.tgt.phase[ph]);
+                            m.phase[ph]);
         out.writer().endObject();
         out.endRow();
     }
     std::printf("%s", table.str().c_str());
 
-    auto pct = [](uint64_t spur, uint64_t wake) {
-        return wake ? 100.0 * static_cast<double>(spur) /
-                          static_cast<double>(wake)
-                    : 0.0;
-    };
-    std::printf("\nspurious wakeups: targeted %.1f%% (%llu/%llu) vs "
-                "broadcast %.1f%% (%llu/%llu)\n",
-                pct(totalSpur[0], totalWake[0]),
-                static_cast<unsigned long long>(totalSpur[0]),
-                static_cast<unsigned long long>(totalWake[0]),
-                pct(totalSpur[1], totalWake[1]),
-                static_cast<unsigned long long>(totalSpur[1]),
-                static_cast<unsigned long long>(totalWake[1]));
+    std::printf("\nspurious wakeups: %.1f%% (%llu/%llu)\n",
+                100.0 * ratio(totalSpur, totalWake),
+                static_cast<unsigned long long>(totalSpur),
+                static_cast<unsigned long long>(totalWake));
 
     prof.stop();
     uint64_t phaseSum = 0;
@@ -329,61 +279,6 @@ perfMain(int argc, char **argv)
                             static_cast<double>(phaseSum));
         std::printf("\n");
     }
-
-    // Region-parallel scaling curves (fixed-latency mode, targeted
-    // wakeups): one point per (workload, sim-threads). Every point
-    // must reproduce the sequential cycle count bit-exactly.
-    banner("region-parallel event core scaling");
-    const size_t nt = opt.scaleThreads.size();
-    std::vector<Measure> scale(nw * nt);
-    sweep(scale.size(), "perf-scale", opt.jobs, [&](size_t p) {
-        size_t i = p / nt;
-        int threads = opt.scaleThreads[p % nt];
-        scale[p] = simulate(ws[i], rc, compiled[i], /*noc=*/false,
-                            /*targeted=*/true, opt.reps, threads);
-    });
-
-    Table st({"app", "threads", "regions", "quanta", "cycles", "ms",
-              "Mcyc/s", "Mev/s", "barrier%", "fallback"});
-    out.section("scaling");
-    for (size_t p = 0; p < scale.size(); ++p) {
-        size_t i = p / nt;
-        int threads = opt.scaleThreads[p % nt];
-        const Measure &m = scale[p];
-        const Measure &base = scale[i * nt]; // The sim-threads=1 point.
-        if (m.sim.cycles != base.sim.cycles)
-            fatal(opt.workloads[i], ": --sim-threads ", threads,
-                  " diverged from sequential (", m.sim.cycles, " vs ",
-                  base.sim.cycles, " cycles)");
-        double sec = m.bestMs / 1e3;
-        double mcycS = sec > 0 ? m.sim.cycles / sec / 1e6 : 0.0;
-        double mevS = sec > 0 ? m.sim.hostEvents / sec / 1e6 : 0.0;
-        st.addRow({opt.workloads[i], std::to_string(threads),
-                   std::to_string(m.sim.simRegions),
-                   std::to_string(m.sim.quanta),
-                   std::to_string(m.sim.cycles),
-                   Table::fmt(m.bestMs, 2), Table::fmt(mcycS, 2),
-                   Table::fmt(mevS, 2),
-                   Table::fmt(100.0 * m.sim.barrierWaitRatio, 1),
-                   m.sim.parallelFallback ? m.sim.fallbackReason
-                                          : "-"});
-        out.beginRow()
-            .kv("workload", opt.workloads[i])
-            .kv("sim_threads", threads)
-            .kv("sim_regions", m.sim.simRegions)
-            .kv("quanta", m.sim.quanta)
-            .kv("cycles", m.sim.cycles)
-            .kv("events", m.sim.hostEvents)
-            .kv("host_ms", m.bestMs)
-            .kv("mcycles_per_s", mcycS)
-            .kv("events_per_s", mevS * 1e6)
-            .kv("barrier_wait_ratio", m.sim.barrierWaitRatio)
-            .kv("parallel_fallback", m.sim.parallelFallback);
-        if (m.sim.parallelFallback)
-            out.kv("fallback_reason", m.sim.fallbackReason);
-        out.endRow();
-    }
-    std::printf("%s", st.str().c_str());
 
     out.write(opt.out);
     return 0;

@@ -161,21 +161,11 @@ jsonReport(const workloads::Workload &w, const RunConfig &config,
     j.kv("flops", r.sim.flops);
     j.kv("gflops", r.gflops());
     j.kv("compute_utilization", r.sim.avgComputeUtilization);
-    // Region-parallel event core: how the run actually executed.
-    // sim_threads is the achieved region count (1 = sequential), not
-    // the request; a fallback reports 1 plus the reason.
-    j.kv("sim_threads", r.sim.simThreads);
-    j.kv("sim_regions", r.sim.simRegions);
-    j.kv("quanta", r.sim.quanta);
-    j.kv("barrier_wait_ratio", r.sim.barrierWaitRatio);
-    j.kv("parallel_fallback", r.sim.parallelFallback);
-    if (r.sim.parallelFallback)
-        j.kv("fallback_reason", r.sim.fallbackReason);
     j.key("host").beginObject();
     j.kv("events", r.sim.hostEvents);
     j.kv("wakeups", r.sim.wakeups);
     j.kv("spurious_wakeups", r.sim.spuriousWakeups);
-    // Per-CV-class wakeup policy accounting: which wait sites pay the
+    // Per-CV-class wakeup accounting: which wait sites pay the
     // thundering-herd cost, and their spurious ratios.
     j.key("wakeup_classes").beginObject();
     for (int c = 0; c < sim::kNumWakeClasses; ++c) {

@@ -11,7 +11,6 @@
  * (credits bound their occupancy by construction).
  */
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -115,100 +114,10 @@ class FifoState
         noteOccupancy();
     }
 
-    /** Re-point the host-side plumbing (scheduler, element pool,
-     *  flight recorder) without touching stream state — used when the
-     *  region partitioner moves a stream whose endpoints share a
-     *  region onto that region's scheduler. CVs are re-bound; stored
-     *  elements, credits, and counters are untouched. */
-    void
-    rebind(Scheduler &sched, ElementPool *pool,
-           telemetry::FlightRecorder *flight)
-    {
-        sched_ = &sched;
-        pool_ = pool;
-        flight_ = flight;
-        dataCv.bind(sched);
-        spaceCv.bind(sched);
-    }
-
-    /**
-     * Switch to *cut* mode: the producer and consumer endpoints live
-     * in different regions running on different threads. The stream
-     * splits into two thread-local halves plus a mailbox:
-     *   - producer side: push() stages {element, deliverAt} into the
-     *     mailbox and tracks occupancy in a local credit view
-     *     (`cutOcc_`) that learns about consumer pops only at quantum
-     *     boundaries — a conservative over-estimate;
-     *   - consumer side: stored_/dataCv/pop() exactly as today; pops
-     *     bank credits into `cutCredits_` instead of notifying;
-     *   - applyCutBoundary() (serial barrier phase) applies banked
-     *     credits and schedules staged deliveries on the consumer's
-     *     scheduler. Stream latency >= the barrier quantum, so every
-     *     staged delivery lands at or after the next quantum start.
-     * A producer that finds its local credit view full would have to
-     * wait for a credit the sequential core returns same-cycle — it
-     * flags `conflict` instead and the run falls back to the
-     * sequential core (see Simulator::tryRunParallel).
-     */
-    void
-    makeCut(Scheduler &prodSched, Scheduler &consSched,
-            ElementPool *consPool, telemetry::FlightRecorder *consFlight,
-            std::atomic<bool> *conflict)
-    {
-        cut_ = true;
-        prodSched_ = &prodSched;
-        sched_ = &consSched; // Deliveries execute consumer-side.
-        pool_ = consPool;
-        flight_ = consFlight;
-        conflict_ = conflict;
-        spaceCv.bind(prodSched);
-        dataCv.bind(consSched);
-        cutOcc_ = stored_.size() + inflight_.size(); // Init credits.
-    }
-
-    bool isCut() const { return cut_; }
-
-    /** Producer side of a cut stream is out of local credits: the
-     *  parallel attempt has diverged from the sequential core. The
-     *  per-stream flag survives until the rebuild so the partitioner
-     *  can learn which cut to avoid on the next attempt. */
-    void
-    noteCutConflict()
-    {
-        cutConflicted_ = true;
-        conflict_->store(true, std::memory_order_relaxed);
-    }
-
-    /** This stream's producer hit the conflict (read after the region
-     *  threads joined). */
-    bool cutConflicted() const { return cutConflicted_; }
-
-    /** Serial barrier phase: apply banked credits to the producer's
-     *  view and hand staged elements to the consumer's scheduler.
-     *  Caller iterates cut streams in StreamId order, keeping the
-     *  handoff deterministic. */
-    void
-    applyCutBoundary()
-    {
-        SARA_ASSERT(cutCredits_ <= cutOcc_, "credit underflow on ",
-                    spec_->name);
-        cutOcc_ -= cutCredits_;
-        cutCredits_ = 0;
-        for (auto &st : cutStaged_) {
-            inflight_.push_back(std::move(st.elem));
-            scheduleDelivery(st.deliverAt);
-        }
-        cutStaged_.clear();
-    }
-
     const dfg::Stream &spec() const { return *spec_; }
 
     bool empty() const { return stored_.empty(); }
-    size_t
-    occupancy() const
-    {
-        return cut_ ? cutOcc_ : stored_.size() + inflight_.size();
-    }
+    size_t occupancy() const { return stored_.size() + inflight_.size(); }
     bool hasSpace() const { return occupancy() < capacity_; }
 
     /** True when the stream rides the cycle-level network. */
@@ -233,10 +142,6 @@ class FifoState
         SARA_ASSERT(hasSpace(), "push to full fifo ", spec_->name);
         SARA_ASSERT(canInject(), "push to blocked link ", spec_->name);
         ++pushes_;
-        if (cut_) {
-            stageCut(std::move(v), prodSched_->now() + latency_);
-            return;
-        }
         inflight_.push_back(std::move(v));
         noteOccupancy();
         if (noc_)
@@ -251,11 +156,6 @@ class FifoState
     {
         SARA_ASSERT(hasSpace(), "push to full fifo ", spec_->name);
         ++pushes_;
-        if (cut_) {
-            stageCut(std::move(v),
-                     prodSched_->now() + latency_ + extraDelay);
-            return;
-        }
         inflight_.push_back(std::move(v));
         noteOccupancy();
         if (noc_)
@@ -280,14 +180,6 @@ class FifoState
             pool_->release(std::move(stored_.front()));
         stored_.pop_front();
         ++pops_;
-        // Cut mode: the credit travels back through the mailbox at the
-        // next quantum boundary instead of returning same-cycle (no
-        // producer is ever parked on spaceCv — that case aborts the
-        // parallel attempt before it can wait).
-        if (cut_) {
-            ++cutCredits_;
-            return;
-        }
         // Injected credit leak: the freed slot's credit is lost in
         // transit, permanently shrinking the window (floor 1 so the
         // stream stays usable; a window of 0 would wedge instantly and
@@ -296,11 +188,10 @@ class FifoState
             inj_->fifoLeak(spec_->name, sched_->now()))
             --capacity_;
         // A stream has exactly one producer engine, so spaceCv holds at
-        // most one waiter: notifyOne is equivalent to a broadcast, and
-        // the hasWaiters guard keeps waiter-free pops (the common case)
-        // off the scheduler entirely.
+        // most one waiter; the hasWaiters guard keeps waiter-free pops
+        // (the common case) off the scheduler entirely.
         if (spaceCv.hasWaiters())
-            spaceCv.notifyOne();
+            spaceCv.notifyAll();
     }
 
     uint64_t pushes() const { return pushes_; }
@@ -320,20 +211,6 @@ class FifoState
         uint64_t occ = occupancy();
         if (occ > highWater_)
             highWater_ = occ;
-    }
-
-    /** Producer-side staging for a cut stream. Only the local credit
-     *  view is touched — consumer state (stored_, inflight_) belongs
-     *  to the other thread until the barrier. The high-water mark is
-     *  the producer's view: >= the true occupancy (credits arrive
-     *  late), still <= capacity (hasSpace gates the push). */
-    void
-    stageCut(Element v, uint64_t deliverAt)
-    {
-        cutStaged_.push_back(CutStaged{std::move(v), deliverAt});
-        ++cutOcc_;
-        if (cutOcc_ > highWater_)
-            highWater_ = cutOcc_;
     }
 
     void
@@ -359,7 +236,7 @@ class FifoState
                             sched_->now(), spec_->id.v);
         // Single consumer engine per stream: see pop().
         if (dataCv.hasWaiters())
-            dataCv.notifyOne();
+            dataCv.notifyAll();
     }
 
     /** NoC ejection callback (per-stream order is guaranteed). */
@@ -375,21 +252,6 @@ class FifoState
     noc::NocModel *noc_ = nullptr;
     ElementPool *pool_ = nullptr;
     telemetry::FlightRecorder *flight_ = nullptr;
-    // Cut-mode state. Thread ownership: cutStaged_/cutOcc_ are
-    // producer-side, cutCredits_ is consumer-side; applyCutBoundary
-    // touches both but only runs in the serial barrier phase.
-    struct CutStaged
-    {
-        Element elem;
-        uint64_t deliverAt;
-    };
-    bool cut_ = false;
-    bool cutConflicted_ = false;
-    Scheduler *prodSched_ = nullptr;
-    std::atomic<bool> *conflict_ = nullptr;
-    std::deque<CutStaged> cutStaged_;
-    uint64_t cutOcc_ = 0;
-    uint64_t cutCredits_ = 0;
     std::deque<Element> stored_;
     std::deque<Element> inflight_;
     uint64_t capacity_ = 0;

@@ -1,13 +1,9 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <barrier>
-#include <chrono>
 #include <cstdio>
 #include <cmath>
 #include <limits>
-#include <numeric>
-#include <thread>
 
 #include "ir/interp.h"
 #include "support/hostprof.h"
@@ -106,44 +102,6 @@ struct Simulator::MemGroup
     std::vector<ShardState> state;
 };
 
-/**
- * One execution region: a partition of the fabric driven by its own
- * calendar queue on its own host thread. Region 0 aliases the
- * Simulator's members (sched_, pool_, flight_) so the sequential core
- * — always exactly one region — runs unchanged; parallel regions own
- * their storage. Wakeup accounting and end-of-cycle arbitration
- * staging are per region because they are written from region threads.
- */
-struct Simulator::Region
-{
-    Simulator *sim = nullptr;
-    int id = 0;
-    Scheduler *sched = nullptr;
-    ElementPool *pool = nullptr;
-    telemetry::FlightRecorder *flight = nullptr;
-
-    // Wakeup accounting (merged into SimResult::wakeups at assembly).
-    uint64_t wakeups = 0;
-    uint64_t spuriousWakeups = 0;
-    std::array<uint64_t, kNumWakeClasses> wakeupsByClass{};
-    std::array<uint64_t, kNumWakeClasses> spuriousByClass{};
-
-    // End-of-cycle arbitration staging (see resolveArbitration).
-    std::vector<Engine *> arbDram;
-    std::vector<Engine *> arbBus;
-    bool arbArmed = false;
-
-    // Parallel-only owned storage (region 0 points at the members).
-    std::unique_ptr<Scheduler> ownedSched;
-    std::unique_ptr<ElementPool> ownedPool;
-    std::unique_ptr<telemetry::FlightRecorder> ownedFlight;
-
-    // Thread bookkeeping for the quantum loop.
-    std::string error;
-    bool failed = false;
-    double barrierWaitSec = 0.0;
-};
-
 /** Runtime state of one executing virtual unit. */
 struct Simulator::Engine
 {
@@ -185,8 +143,7 @@ struct Simulator::Engine
     int bufPtr = 0;
     int outstanding = 0;
     CondVar agCv;
-    Simulator *sim = nullptr; ///< For global DRAM telemetry.
-    Region *region = nullptr; ///< Execution region (scheduler et al).
+    Simulator *sim = nullptr;
 
     // Canonical end-of-cycle arbitration (Simulator::resolveArbitration):
     // same-cycle DRAM accesses and PMU port-bus grants are staged here
@@ -198,47 +155,35 @@ struct Simulator::Engine
     uint64_t busExtra = 0;       ///< Bank-conflict cycles riding the grant.
     std::vector<std::pair<uint64_t, uint32_t>> stagedBursts; ///< addr,bytes
 
-    /** The NoC link wait list this engine was just woken from (null
-     *  outside a wake). Under targeted wakeups, any park back on the
-     *  same list before the next suspension goes to the notify
-     *  *cursor*: a broadcast would have cleared the list, so this
-     *  engine's re-park lands after the same-cycle racers that beat
-     *  its resume but ahead of the still-parked waiters (see
-     *  CondVar::notifyOne). Cleared at every suspension point (the
-     *  resume-chain ends there). */
-    CondVar *grantWake = nullptr;
-
     // Stats and diagnostics.
     UnitStats stats;
     uint64_t flops = 0;
     int arithLops = 0;
-    const char *blockReason = "not started";
-    std::string blockDetail;
+    static constexpr const char *kNotStarted = "not started";
+    const char *blockReason = kNotStarted;
     WaitKind waitKind = WaitKind::None;
-    int32_t waitStream = -1; ///< StreamId index for Stream*/NetInject.
+    /** StreamId index of the current or most recent stream wait; -1
+     *  after a DRAM or arbitration wait (see Simulator::waitDetail). */
+    int32_t waitStream = -1;
     bool finished = false;
     std::string error;
 
     Task task;
 
     void
-    parkOn(WaitKind kind, int32_t stream, const char *why,
-           const std::string &detail)
+    parkOn(WaitKind kind, int32_t stream, const char *why)
     {
         waitKind = kind;
         waitStream = stream;
         blockReason = why;
-        blockDetail = detail;
-        if (region)
-            region->flight->record(telemetry::FlightKind::Park,
-                                   region->sched->now(), u->id.v, stream);
+        sim->flight_.record(telemetry::FlightKind::Park, sim->sched_.now(),
+                            u->id.v, stream);
     }
 
     void
     unpark()
     {
         waitKind = WaitKind::None;
-        waitStream = -1;
         blockReason = "";
     }
 };
@@ -258,21 +203,9 @@ Simulator::buildState()
     g_.validate();
     flight_.reset(opt_.flightDepth);
 
-    // Single execution region aliasing the sequential members; the
-    // partitioner replaces this layout when a parallel run is viable.
-    regions_.clear();
-    auto r0 = std::make_unique<Region>();
-    r0->sim = this;
-    r0->id = 0;
-    r0->sched = &sched_;
-    r0->pool = &pool_;
-    r0->flight = &flight_;
-    regions_.push_back(std::move(r0));
-
     if (opt_.useNoc) {
         noc_ = std::make_unique<noc::NocModel>(sched_, opt_.noc);
         noc_->setFaultInjector(opt_.fault);
-        noc_->setTargetedWakeups(opt_.targetedWakeups);
         noc_->setFlightRecorder(flight_.enabled() ? &flight_ : nullptr);
         for (size_t i = 0; i < g_.numStreams(); ++i)
             noc_->registerStream(g_.stream(dfg::StreamId(i)));
@@ -368,7 +301,6 @@ Simulator::buildState()
         e->agCv.bind(sched_);
         e->arbCv.bind(sched_);
         e->sim = this;
-        e->region = regions_[0].get();
         engines_[u.id.index()] = std::move(e);
     }
 }
@@ -402,17 +334,13 @@ Task
 Simulator::awaitNonEmpty(Engine &e, FifoState &f, StallCause cause,
                          const char *why)
 {
-    Scheduler &rs = *e.region->sched;
     while (f.empty()) {
-        e.parkOn(Engine::WaitKind::StreamData, f.spec().id.v, why,
-                 f.spec().name);
-        uint64_t blockedAt = rs.now();
-        e.grantWake = nullptr;
+        e.parkOn(Engine::WaitKind::StreamData, f.spec().id.v, why);
+        uint64_t blockedAt = sched_.now();
         co_await f.dataCv.wait();
-        f.dataCv.wakeLanded();
         noteWake(e, WakeClass::FifoData, f.empty());
         e.stats.stallCycles[static_cast<int>(cause)] +=
-            rs.now() - blockedAt;
+            sched_.now() - blockedAt;
     }
     e.unpark();
 }
@@ -426,53 +354,25 @@ Simulator::awaitSpace(Engine &e, FifoState &f, StallCause cause,
     // normally Credit) and, on NoC runs, the first-hop link buffer
     // (network contention -> Network). Both are re-checked after every
     // wakeup; the cycles blocked on each gate are disjoint.
-    Scheduler &rs = *e.region->sched;
     while (true) {
         if (!f.hasSpace()) {
-            if (f.isCut()) {
-                // The local credit view of a cross-region stream is
-                // full. The sequential core returns credits the same
-                // cycle the consumer pops; waiting a whole quantum
-                // here would diverge from it — abort the speculative
-                // parallel attempt instead (the run falls back to the
-                // sequential core) and park until teardown.
-                f.noteCutConflict();
-                e.parkOn(Engine::WaitKind::StreamSpace, f.spec().id.v,
-                         why, f.spec().name);
-                e.grantWake = nullptr;
-                co_await f.spaceCv.wait(); // Never notified.
-                co_return;
-            }
-            e.parkOn(Engine::WaitKind::StreamSpace, f.spec().id.v, why,
-                     f.spec().name);
-            uint64_t blockedAt = rs.now();
-            e.grantWake = nullptr;
+            e.parkOn(Engine::WaitKind::StreamSpace, f.spec().id.v, why);
+            uint64_t blockedAt = sched_.now();
             co_await f.spaceCv.wait();
-            f.spaceCv.wakeLanded();
             noteWake(e, WakeClass::FifoSpace, !f.hasSpace());
             e.stats.stallCycles[static_cast<int>(cause)] +=
-                rs.now() - blockedAt;
+                sched_.now() - blockedAt;
             continue;
         }
         if (!f.canInject()) {
             e.parkOn(Engine::WaitKind::NetInject, f.spec().id.v,
-                     "link busy", f.spec().name);
-            uint64_t blockedAt = rs.now();
-            // An engine that was just woken off this link's wait list
-            // re-parks at the notify cursor — the slot its broadcast
-            // re-park would occupy (after same-cycle racers, before
-            // the surviving waiters): see CondVar::notifyOne and
-            // Engine::grantWake.
-            sim::CondVar &icv = f.injectCv();
-            bool atCursor = opt_.targetedWakeups && e.grantWake == &icv;
-            e.grantWake = nullptr;
-            co_await icv.wait(atCursor);
-            icv.wakeLanded();
-            e.grantWake = &icv;
+                     "link busy");
+            uint64_t blockedAt = sched_.now();
+            co_await f.injectCv().wait();
             noteWake(e, WakeClass::NocInject,
                      !f.hasSpace() || !f.canInject());
             e.stats.stallCycles[static_cast<int>(
-                StallCause::Network)] += rs.now() - blockedAt;
+                StallCause::Network)] += sched_.now() - blockedAt;
             continue;
         }
         break;
@@ -486,7 +386,7 @@ Simulator::runUnit(Engine &e)
     try {
         co_await runLevel(e, 0);
         e.finished = true;
-        e.stats.doneAt = e.region->sched->now();
+        e.stats.doneAt = sched_.now();
     } catch (const std::exception &ex) {
         e.error = ex.what();
         e.finished = false;
@@ -616,24 +516,22 @@ Simulator::fireOnce(Engine &e)
 
     co_await wrapActions(e, e.n);
 
-    Scheduler &rs = *e.region->sched;
+    const uint64_t now = sched_.now();
     if (e.stats.firings == 0)
-        e.stats.firstFire = rs.now();
-    e.stats.lastFire = rs.now();
+        e.stats.firstFire = now;
+    e.stats.lastFire = now;
     ++e.stats.firings;
     // Lane serialization from bank conflicts is accounted as a stall,
     // not useful occupancy: the firing itself is one busy cycle.
     e.stats.busyCycles += 1;
     e.stats.stallCycles[static_cast<int>(StallCause::BankConflict)] +=
         extraCycles;
-    e.region->flight->record(telemetry::FlightKind::Fire, rs.now(),
-                             e.u->id.v,
-                             static_cast<int32_t>(1 + extraCycles));
+    flight_.record(telemetry::FlightKind::Fire, now, e.u->id.v,
+                   static_cast<int32_t>(1 + extraCycles));
     if (!opt_.traceFile.empty())
-        recordFiring(e, rs.now(), 1 + extraCycles, false);
+        recordFiring(e, now, 1 + extraCycles, false);
     e.flops += static_cast<uint64_t>(e.arithLops) * e.activeLanes;
-    e.grantWake = nullptr;
-    co_await rs.delay(1 + extraCycles);
+    co_await sched_.delay(1 + extraCycles);
 }
 
 Task
@@ -655,18 +553,15 @@ Simulator::skipRound(Engine &e, int k)
         auto &f = fifos_[u.outputs[u.respOutput].stream.index()];
         co_await awaitSpace(e, f, StallCause::Credit,
                             "skip response space");
-        f.push(e.region->pool->acquireZeroed(
+        f.push(pool_.acquireZeroed(
             static_cast<size_t>(std::max(1, e.activeLanes))));
     }
-    Scheduler &rs = *e.region->sched;
     ++e.stats.skips;
     e.stats.busyCycles += 1;
-    e.region->flight->record(telemetry::FlightKind::Skip, rs.now(),
-                             e.u->id.v);
+    flight_.record(telemetry::FlightKind::Skip, sched_.now(), e.u->id.v);
     if (!opt_.traceFile.empty())
-        recordFiring(e, rs.now(), 1, true);
-    e.grantWake = nullptr;
-    co_await rs.delay(1);
+        recordFiring(e, sched_.now(), 1, true);
+    co_await sched_.delay(1);
 }
 
 Task
@@ -679,16 +574,12 @@ Simulator::wrapActions(Engine &e, int k)
     if (u.kind == VuKind::Ag && u.dir == AccessDir::Write && k < e.n &&
         !e.outputsAt[k].empty()) {
         while (e.outstanding > 0) {
-            e.parkOn(Engine::WaitKind::DramDrain, -1,
-                     "DRAM write drain", u.name);
-            uint64_t blockedAt = e.region->sched->now();
-            e.grantWake = nullptr;
+            e.parkOn(Engine::WaitKind::DramDrain, -1, "DRAM write drain");
+            uint64_t blockedAt = sched_.now();
             co_await e.agCv.wait();
-            e.agCv.wakeLanded();
             noteWake(e, WakeClass::Dram, e.outstanding > 0);
             e.stats.stallCycles[static_cast<int>(
-                StallCause::DramLatency)] +=
-                e.region->sched->now() - blockedAt;
+                StallCause::DramLatency)] += sched_.now() - blockedAt;
         }
         e.unpark();
     }
@@ -702,7 +593,7 @@ Simulator::wrapActions(Engine &e, int k)
         } else if (k == e.n) {
             f.push(perFiringElement(e, ob));
         } else {
-            Element one = e.region->pool->acquire(1);
+            Element one = pool_.acquire(1);
             one[0] = combinedOutputValue(e, ob);
             f.push(std::move(one));
         }
@@ -814,8 +705,7 @@ Simulator::combinedOutputValue(Engine &e, const dfg::OutputBinding &ob)
 Element
 Simulator::perFiringElement(Engine &e, const dfg::OutputBinding &ob)
 {
-    Element elem =
-        e.region->pool->acquire(static_cast<size_t>(e.activeLanes));
+    Element elem = pool_.acquire(static_cast<size_t>(e.activeLanes));
     for (int l = 0; l < e.activeLanes; ++l)
         elem[l] = e.lv[ob.lop * e.vec + l];
     return elem;
@@ -869,31 +759,27 @@ Simulator::applyMemPort(Engine &e, uint64_t &extraCycles)
     // Same-cycle requests from sibling ports are granted by the
     // end-of-cycle arbiter in unit-id order — a deterministic hardware
     // arbiter — so the grant sequence is independent of the host event
-    // interleave (the property the region-parallel core relies on).
+    // interleave.
     if (!u.dynamicBank) {
-        Scheduler &rs = *e.region->sched;
         auto &ss = grp.state[u.shardIndex];
         e.busSlot = (u.dir == AccessDir::Read) ? &ss.readBusFree
                                                : &ss.writeBusFree;
         e.busExtra = extraCycles;
         e.blockReason = "PMU bus";
-        e.blockDetail = u.name;
-        e.grantWake = nullptr;
-        uint64_t blockedAt = rs.now();
-        e.region->arbBus.push_back(&e);
-        armArbiter(*e.region);
+        e.waitStream = -1;
+        uint64_t blockedAt = sched_.now();
+        arbBus_.push_back(&e);
+        armArbiter();
         co_await e.arbCv.wait();
-        e.arbCv.wakeLanded();
-        if (e.arbResultAt > rs.now())
-            co_await rs.delay(e.arbResultAt - rs.now());
+        if (e.arbResultAt > sched_.now())
+            co_await sched_.delay(e.arbResultAt - sched_.now());
         e.stats.stallCycles[static_cast<int>(StallCause::BusContention)] +=
-            rs.now() - blockedAt;
+            sched_.now() - blockedAt;
         e.blockReason = "";
     }
 
     if (u.dir == AccessDir::Read) {
-        Element out =
-            e.region->pool->acquire(static_cast<size_t>(lanes));
+        Element out = pool_.acquire(static_cast<size_t>(lanes));
         for (int l = 0; l < lanes; ++l) {
             auto [shard, offset] = locate(grp, addrs[l]);
             if (!u.dynamicBank)
@@ -940,18 +826,15 @@ Task
 Simulator::applyAg(Engine &e)
 {
     const auto &u = *e.u;
-    Scheduler &rs = *e.region->sched;
     while (e.outstanding >= opt_.agOutstanding) {
         e.parkOn(Engine::WaitKind::DramWindow, -1,
-                 "DRAM outstanding limit", u.name);
-        uint64_t blockedAt = rs.now();
-        e.grantWake = nullptr;
+                 "DRAM outstanding limit");
+        uint64_t blockedAt = sched_.now();
         co_await e.agCv.wait();
-        e.agCv.wakeLanded();
         noteWake(e, WakeClass::Dram,
                  e.outstanding >= opt_.agOutstanding);
         e.stats.stallCycles[static_cast<int>(StallCause::DramLatency)] +=
-            rs.now() - blockedAt;
+            sched_.now() - blockedAt;
     }
     e.unpark();
 
@@ -991,12 +874,10 @@ Simulator::applyAg(Engine &e)
         }
     }
     e.blockReason = "DRAM arbitration";
-    e.blockDetail = u.name;
-    e.grantWake = nullptr;
-    e.region->arbDram.push_back(&e);
-    armArbiter(*e.region);
+    e.waitStream = -1;
+    arbDram_.push_back(&e);
+    armArbiter();
     co_await e.arbCv.wait();
-    e.arbCv.wakeLanded();
     e.blockReason = "";
     uint64_t maxComplete = e.arbResultAt;
 
@@ -1005,16 +886,15 @@ Simulator::applyAg(Engine &e)
     // just stretches the completion time.
     bool timedOut = false;
     if (opt_.fault) {
-        if (opt_.fault->dramTimeout(u.name, rs.now()))
+        if (opt_.fault->dramTimeout(u.name, sched_.now()))
             timedOut = true;
         else
             maxComplete +=
-                opt_.fault->dramTailLatency(u.name, rs.now());
+                opt_.fault->dramTailLatency(u.name, sched_.now());
     }
 
     if (u.dir == AccessDir::Read) {
-        Element out =
-            e.region->pool->acquire(static_cast<size_t>(lanes));
+        Element out = pool_.acquire(static_cast<size_t>(lanes));
         for (int l = 0; l < lanes; ++l) {
             SARA_ASSERT(addrs[l] >= 0 &&
                             addrs[l] < static_cast<int64_t>(data.size()),
@@ -1028,12 +908,12 @@ Simulator::applyAg(Engine &e)
             // log the injection under that resource too — that is the
             // site the starved consumer's wait will name.
             opt_.fault->note(fault::FaultKind::DramTimeout,
-                             f.spec().name, rs.now());
+                             f.spec().name, sched_.now());
         } else {
             co_await awaitSpace(e, f, StallCause::Credit,
                                 "DRAM response space");
-            uint64_t extra = maxComplete > rs.now()
-                                 ? maxComplete - rs.now()
+            uint64_t extra = maxComplete > sched_.now()
+                                 ? maxComplete - sched_.now()
                                  : 0;
             f.pushWithDelay(std::move(out), extra);
         }
@@ -1056,49 +936,40 @@ Simulator::applyAg(Engine &e)
     ++e.outstanding;
     ++dramOutstanding_;
     if (!timedOut) {
-        rs.scheduleFnAt(
+        sched_.scheduleFnAt(
             [](void *arg) {
                 auto *eng = static_cast<Engine *>(arg);
                 --eng->outstanding;
                 --eng->sim->dramOutstanding_;
                 eng->sim->sampleDram();
-                // The AG engine is the CV's only possible waiter. A
-                // drain waiter (wants outstanding == 0) would treat
-                // every intermediate completion as spurious, so
-                // targeted mode notifies it only on the last one; a
-                // window waiter is unblocked by any completion.
-                if (!eng->agCv.hasWaiters())
-                    return;
-                if (!eng->sim->opt_.targetedWakeups ||
-                    eng->waitKind != Engine::WaitKind::DramDrain ||
-                    eng->outstanding == 0)
-                    eng->agCv.notifyOne();
+                // The AG engine is the CV's only possible waiter.
+                if (eng->agCv.hasWaiters())
+                    eng->agCv.notifyAll();
             },
-            &e, std::max(maxComplete, rs.now()));
+            &e, std::max(maxComplete, sched_.now()));
     }
     sampleDram();
 }
 
 void
-Simulator::armArbiter(Region &r)
+Simulator::armArbiter()
 {
-    if (!r.arbArmed) {
-        r.arbArmed = true;
-        r.sched->atCycleEnd(&Simulator::arbTrampoline, &r);
+    if (!arbArmed_) {
+        arbArmed_ = true;
+        sched_.atCycleEnd(&Simulator::arbTrampoline, this);
     }
 }
 
 void
 Simulator::arbTrampoline(void *arg)
 {
-    auto *r = static_cast<Region *>(arg);
-    r->sim->resolveArbitration(*r);
+    static_cast<Simulator *>(arg)->resolveArbitration();
 }
 
 void
-Simulator::resolveArbitration(Region &r)
+Simulator::resolveArbitration()
 {
-    r.arbArmed = false;
+    arbArmed_ = false;
     // Each engine stages at most one request per cycle and unit ids
     // are unique, so unit-id order is a total order. Engines resumed
     // by these notifies may stage *new* same-cycle requests (a granted
@@ -1108,31 +979,28 @@ Simulator::resolveArbitration(Region &r)
     auto byId = [](const Engine *a, const Engine *b) {
         return a->u->id.v < b->u->id.v;
     };
-    std::sort(r.arbBus.begin(), r.arbBus.end(), byId);
-    std::sort(r.arbDram.begin(), r.arbDram.end(), byId);
-    const uint64_t now = r.sched->now();
-    for (Engine *e : r.arbBus) {
+    std::sort(arbBus_.begin(), arbBus_.end(), byId);
+    std::sort(arbDram_.begin(), arbDram_.end(), byId);
+    const uint64_t now = sched_.now();
+    for (Engine *e : arbBus_) {
         uint64_t grant = std::max(now, *e->busSlot);
         *e->busSlot = grant + 1 + e->busExtra;
         e->busSlot = nullptr;
         e->arbResultAt = grant;
-        e->arbCv.notifyOne();
+        e->arbCv.notifyAll();
     }
-    r.arbBus.clear();
-    if (!r.arbDram.empty()) {
-        // The DRAM model is shared state, but every AG is pinned to
-        // region 0 by the partitioner, so only region 0's thread ever
-        // reaches this branch.
+    arbBus_.clear();
+    if (!arbDram_.empty()) {
         telemetry::ScopedPhase phase(telemetry::HostPhase::Dram);
-        for (Engine *e : r.arbDram) {
+        for (Engine *e : arbDram_) {
             uint64_t maxComplete = now;
             for (const auto &[addr, bytes] : e->stagedBursts)
                 maxComplete = std::max(
                     maxComplete, dram_.access(addr, bytes, now).completeAt);
             e->arbResultAt = maxComplete;
-            e->arbCv.notifyOne();
+            e->arbCv.notifyAll();
         }
-        r.arbDram.clear();
+        arbDram_.clear();
     }
 }
 
@@ -1153,67 +1021,6 @@ Simulator::sampleDram()
 SimResult
 Simulator::run()
 {
-    // Parallel eligibility. The region-parallel core only covers the
-    // fixed-latency model with no injection and no tracing; anything
-    // else runs on the sequential core (the contract either way is
-    // the sequential outcome, so this is a performance decision, not
-    // a behavioral one).
-    if (opt_.simThreads > 1) {
-        const char *reason = nullptr;
-        if (noc_)
-            reason = "noc";
-        else if (opt_.fault)
-            reason = "fault-injection";
-        else if (!opt_.traceFile.empty())
-            reason = "trace";
-        if (!reason) {
-            // Speculative attempts: snapshot the only input state the
-            // engines mutate in place (DRAM tensor images) so a
-            // mid-flight abort can rebuild a pristine simulator. A
-            // cut-conflict abort names the streams that filled their
-            // credit windows; their endpoints are pinned together and
-            // the partition retried — regions shrink toward the
-            // conflict-free cut set (worst case: one region left,
-            // i.e. the sequential core).
-            constexpr int kMaxAttempts = 16;
-            for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-                fallback_ = false;
-                fallbackReason_.clear();
-                if (!partitionRegions(opt_.simThreads)) {
-                    fallback_ = true;
-                    fallbackReason_ = "indivisible-graph";
-                    break;
-                }
-                auto dramSnapshot = dramData_;
-                SimResult result;
-                if (tryRunParallel(result))
-                    return result;
-                bool conflict = fallbackReason_ == "cut-conflict";
-                if (conflict) {
-                    // Pin the conflicted streams — and the near-miss
-                    // ones whose producer view brushed the window
-                    // ceiling, which would conflict an attempt later.
-                    for (FifoState *f : cutFifos_)
-                        if (f->cutConflicted() ||
-                            (f->capacity() != UINT64_MAX &&
-                             f->highWater() + 1 >= f->capacity()))
-                            colocate_.emplace_back(
-                                f->spec().src.index(),
-                                f->spec().dst.index());
-                }
-                rebuildRuntimeState(std::move(dramSnapshot));
-                // Non-conflict aborts (engine error, hang, budget)
-                // replay sequentially: the sequential core reproduces
-                // the outcome through the canonical reporting paths.
-                if (!conflict || attempt + 1 == kMaxAttempts)
-                    break;
-            }
-        } else {
-            fallback_ = true;
-            fallbackReason_ = reason;
-        }
-    }
-
     for (auto &e : engines_) {
         if (!e)
             continue;
@@ -1247,12 +1054,6 @@ Simulator::run()
     if (!allDone)
         reportHang();
 
-    return assembleResult(end);
-}
-
-SimResult
-Simulator::assembleResult(uint64_t end)
-{
     SimResult result;
     result.cycles = end;
     result.unitStats.resize(g_.numUnits());
@@ -1287,19 +1088,11 @@ Simulator::assembleResult(uint64_t end)
     }
     result.dramOutstanding = dramOutstandingSeries_;
     result.dramBytesSeries = dramBytesSeries_;
-    for (const auto &r : regions_) {
-        result.hostEvents += r->sched->eventsExecuted();
-        result.wakeups += r->wakeups;
-        result.spuriousWakeups += r->spuriousWakeups;
-        for (int c = 0; c < kNumWakeClasses; ++c) {
-            result.wakeupsByClass[c] += r->wakeupsByClass[c];
-            result.spuriousByClass[c] += r->spuriousByClass[c];
-        }
-    }
-    result.simThreads = static_cast<int>(regions_.size());
-    result.simRegions = static_cast<int>(regions_.size());
-    result.parallelFallback = fallback_;
-    result.fallbackReason = fallbackReason_;
+    result.hostEvents = sched_.eventsExecuted();
+    result.wakeups = wakeups_;
+    result.spuriousWakeups = spuriousWakeups_;
+    result.wakeupsByClass = wakeupsByClass_;
+    result.spuriousByClass = spuriousByClass_;
     if (noc_)
         result.noc = noc_->stats();
     buildCounters(result);
@@ -1313,362 +1106,6 @@ Simulator::assembleResult(uint64_t end)
     debug("simulation done: ", end, " cycles, ", result.totalFirings,
           " firings, ", result.dramRequests, " DRAM requests");
     return result;
-}
-
-bool
-Simulator::partitionRegions(int threads)
-{
-    // Cluster units that must share a thread (union-find):
-    //   - every AG, with each other: they arbitrate for the one DRAM
-    //     channel model and share the outstanding-window telemetry;
-    //   - each tensor's memory group: the VMU shards' buffers and bus
-    //     slots are touched by every port of that tensor;
-    //   - endpoints of streams too short to cut (latency < 2; in
-    //     practice only same-physical-unit streams — PnR stamps every
-    //     inter-unit stream with at least the network minimum).
-    const size_t n = g_.numUnits();
-    std::vector<int> parent(n);
-    std::iota(parent.begin(), parent.end(), 0);
-    auto find = [&](int x) {
-        while (parent[x] != x) {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        return x;
-    };
-    auto unite = [&](int a, int b) { parent[find(a)] = find(b); };
-
-    int agRoot = -1;
-    for (const auto &u : g_.units()) {
-        if (u.kind != VuKind::Ag)
-            continue;
-        if (agRoot < 0)
-            agRoot = u.id.index();
-        else
-            unite(agRoot, u.id.index());
-    }
-    std::unordered_map<int32_t, int> tensorRoot;
-    for (const auto &u : g_.units()) {
-        if (u.kind != VuKind::Memory && u.kind != VuKind::MemPort)
-            continue;
-        auto [it, fresh] = tensorRoot.try_emplace(u.tensor.v,
-                                                  u.id.index());
-        if (!fresh)
-            unite(it->second, u.id.index());
-    }
-    for (size_t i = 0; i < g_.numStreams(); ++i) {
-        const auto &s = g_.stream(dfg::StreamId(i));
-        // Too short to cut, or an endpoint without an engine to own
-        // the cut protocol: keep both ends on one thread.
-        if (s.latency < 2 || !engines_[s.src.index()] ||
-            !engines_[s.dst.index()])
-            unite(s.src.index(), s.dst.index());
-    }
-    // Pins learned from earlier speculative attempts: streams that
-    // filled their credit window need same-cycle credit return.
-    for (const auto &[a, b] : colocate_)
-        unite(a, b);
-
-    // Enumerate clusters with engine-count weights (the per-quantum
-    // work a region does scales with its live engines).
-    std::unordered_map<int, int> clusterOf; // root -> cluster index
-    std::vector<int> weight;
-    std::vector<int> unitCluster(n);
-    for (size_t i = 0; i < n; ++i) {
-        int root = find(static_cast<int>(i));
-        auto [it, fresh] =
-            clusterOf.try_emplace(root, static_cast<int>(weight.size()));
-        if (fresh)
-            weight.push_back(0);
-        unitCluster[i] = it->second;
-        if (engines_[i])
-            ++weight[it->second];
-    }
-    const int clusters = static_cast<int>(weight.size());
-    const int r = std::min(threads, clusters);
-    if (r < 2)
-        return false;
-
-    // Greedy LPT packing into r bins, heaviest cluster first.
-    std::vector<int> order(clusters);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-        return weight[a] != weight[b] ? weight[a] > weight[b] : a < b;
-    });
-    std::vector<int> binOf(clusters, 0);
-    std::vector<int> load(r, 0);
-    for (int c : order) {
-        int best = 0;
-        for (int b = 1; b < r; ++b)
-            if (load[b] < load[best])
-                best = b;
-        binOf[c] = best;
-        load[best] += weight[c];
-    }
-    // The AG cluster must land in region 0: the DRAM model and its
-    // telemetry are Simulator members driven from the calling thread.
-    if (agRoot >= 0) {
-        int agBin = binOf[clusterOf[find(agRoot)]];
-        if (agBin != 0)
-            for (int c = 0; c < clusters; ++c) {
-                if (binOf[c] == agBin)
-                    binOf[c] = 0;
-                else if (binOf[c] == 0)
-                    binOf[c] = agBin;
-            }
-    }
-
-    // Materialize regions 1..r-1 (region 0 — built by buildState —
-    // keeps aliasing the sequential members) and move engines over.
-    for (int b = 1; b < r; ++b) {
-        auto reg = std::make_unique<Region>();
-        reg->sim = this;
-        reg->id = b;
-        reg->ownedSched = std::make_unique<Scheduler>();
-        reg->ownedPool = std::make_unique<ElementPool>();
-        reg->ownedFlight =
-            std::make_unique<telemetry::FlightRecorder>(opt_.flightDepth);
-        reg->sched = reg->ownedSched.get();
-        reg->pool = reg->ownedPool.get();
-        reg->flight = reg->ownedFlight.get();
-        regions_.push_back(std::move(reg));
-    }
-    for (auto &e : engines_) {
-        if (!e)
-            continue;
-        Region &reg = *regions_[binOf[unitCluster[e->u->id.index()]]];
-        e->region = &reg;
-        e->agCv.bind(*reg.sched);
-        e->arbCv.bind(*reg.sched);
-    }
-
-    // Re-home streams: same-region streams move onto that region's
-    // plumbing wholesale; straddling streams split into cut mode.
-    // cutFifos_ stays in StreamId order — the serial barrier phase
-    // iterates it, so the handoff order is deterministic.
-    quantum_ = UINT64_MAX;
-    for (size_t i = 0; i < g_.numStreams(); ++i) {
-        auto &f = fifos_[i];
-        const auto &s = f.spec();
-        Engine *se = engines_[s.src.index()].get();
-        Engine *de = engines_[s.dst.index()].get();
-        if (!se && !de)
-            continue; // No engine drives either end.
-        Region &src = se ? *se->region : *de->region;
-        Region &dst = de ? *de->region : src;
-        if (&src == &dst) {
-            if (src.id != 0)
-                f.rebind(*src.sched, src.pool,
-                         src.flight->enabled() ? src.flight : nullptr);
-            continue;
-        }
-        f.makeCut(*src.sched, *dst.sched, dst.pool,
-                  dst.flight->enabled() ? dst.flight : nullptr,
-                  &cutConflict_);
-        cutFifos_.push_back(&f);
-        quantum_ = std::min(quantum_,
-                            static_cast<uint64_t>(s.latency));
-    }
-    // Disconnected regions (no cut streams) still need a finite
-    // barrier cadence so Done/hang detection runs.
-    if (quantum_ == UINT64_MAX)
-        quantum_ = 1u << 16;
-    if (opt_.maxQuantum > 0)
-        quantum_ = std::min(quantum_, opt_.maxQuantum);
-    SARA_ASSERT(quantum_ >= 1, "degenerate barrier quantum");
-    return true;
-}
-
-bool
-Simulator::tryRunParallel(SimResult &result)
-{
-    const int r = static_cast<int>(regions_.size());
-    for (auto &e : engines_) {
-        if (!e)
-            continue;
-        e->task = runUnit(*e);
-        e->region->sched->scheduleAt(e->task.handle(), 0);
-    }
-
-    enum class Outcome { Running, Done, Abort, Cancelled };
-    Outcome outcome = Outcome::Running;
-    uint64_t windowEnd = quantum_; // First window: [0, Q).
-    uint64_t end = 0;
-    uint64_t quanta = 0;
-
-    // Serial phase, run by exactly one thread while the rest are held
-    // at the barrier: hand cut-stream mailboxes over, decide whether
-    // to continue, and open the next window. Everything it reads was
-    // written before the owning thread arrived; everything it writes
-    // is read after release — the barrier orders both.
-    auto serial = [&]() noexcept {
-        ++quanta;
-        if (opt_.cancel &&
-            opt_.cancel->load(std::memory_order_relaxed)) {
-            outcome = Outcome::Cancelled;
-            return;
-        }
-        for (const auto &reg : regions_) {
-            if (reg->failed) {
-                fallbackReason_ = "engine-error";
-                outcome = Outcome::Abort;
-                return;
-            }
-        }
-        if (cutConflict_.load(std::memory_order_relaxed)) {
-            fallbackReason_ = "cut-conflict";
-            outcome = Outcome::Abort;
-            return;
-        }
-        for (auto &e : engines_) {
-            if (e && !e->error.empty()) {
-                fallbackReason_ = "engine-error";
-                outcome = Outcome::Abort;
-                return;
-            }
-        }
-        for (FifoState *f : cutFifos_)
-            f->applyCutBoundary();
-        uint64_t next = UINT64_MAX;
-        uint64_t maxNow = 0;
-        for (const auto &reg : regions_) {
-            next = std::min(next, reg->sched->peekNextAt());
-            maxNow = std::max(maxNow, reg->sched->now());
-        }
-        if (next == UINT64_MAX) {
-            bool allDone = true;
-            for (auto &e : engines_)
-                if (e && !e->finished)
-                    allDone = false;
-            if (!allDone) {
-                fallbackReason_ = "hang";
-                outcome = Outcome::Abort;
-            } else {
-                end = maxNow;
-                outcome = Outcome::Done;
-            }
-            return;
-        }
-        if (next > opt_.maxCycles) {
-            fallbackReason_ = "budget";
-            outcome = Outcome::Abort;
-            return;
-        }
-        windowEnd = std::min(next + quantum_, opt_.maxCycles + 1);
-    };
-    std::barrier bar(r, serial);
-
-    auto worker = [&](Region *reg) {
-        try {
-            while (outcome == Outcome::Running) {
-                reg->sched->runUntil(windowEnd, opt_.cancel);
-                auto t0 = std::chrono::steady_clock::now();
-                bar.arrive_and_wait();
-                reg->barrierWaitSec +=
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-            }
-        } catch (const std::exception &ex) {
-            reg->error = ex.what();
-            reg->failed = true;
-            // Keep the barrier protocol alive so siblings can drain.
-            while (outcome == Outcome::Running)
-                bar.arrive_and_wait();
-        }
-    };
-
-    auto wallStart = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    threads.reserve(r - 1);
-    for (int b = 1; b < r; ++b)
-        threads.emplace_back(worker, regions_[b].get());
-    {
-        telemetry::ScopedPhase phase(telemetry::HostPhase::Scheduler);
-        worker(regions_[0].get());
-    }
-    for (auto &t : threads)
-        t.join();
-    double wallSec = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - wallStart)
-                         .count();
-
-    if (outcome == Outcome::Cancelled) {
-        mergeRegionFlight();
-        reportCancelled(); // Throws: the watchdog verdict is final —
-                           // a sequential re-run can't beat a blown
-                           // deadline.
-    }
-    if (outcome != Outcome::Done) {
-        fallback_ = true;
-        return false;
-    }
-
-    result = assembleResult(end);
-    result.quanta = quanta;
-    double waitSum = 0.0;
-    for (const auto &reg : regions_)
-        waitSum += reg->barrierWaitSec;
-    if (wallSec > 0.0)
-        result.barrierWaitRatio = waitSum / (r * wallSec);
-    return true;
-}
-
-void
-Simulator::rebuildRuntimeState(std::vector<std::vector<double>> initialDram)
-{
-    // Destroy in dependency order: engine frames and fifo elements
-    // reference region pools and schedulers.
-    engines_.clear();
-    fifos_.clear();
-    cutFifos_.clear();
-    groups_.clear();
-    dramData_.clear();
-    regions_.clear();
-    pool_ = ElementPool{};
-    sched_ = Scheduler{};
-    auto spec = dram_.spec();
-    dram_ = dram::DramModel(std::move(spec));
-    dramOutstanding_ = 0;
-    dramOutstandingSeries_.clear();
-    dramBytesSeries_.clear();
-    cutConflict_.store(false, std::memory_order_relaxed);
-    quantum_ = 0;
-    buildState();
-    dramData_ = std::move(initialDram);
-}
-
-void
-Simulator::mergeRegionFlight()
-{
-    if (!flight_.enabled())
-        return;
-    struct Tagged
-    {
-        telemetry::FlightEvent ev;
-        int region;
-        size_t idx;
-    };
-    std::vector<Tagged> all;
-    for (const auto &reg : regions_) {
-        auto evs = reg->flight->events();
-        for (size_t i = 0; i < evs.size(); ++i)
-            all.push_back(Tagged{evs[i], reg->id, i});
-    }
-    std::sort(all.begin(), all.end(), [](const Tagged &a,
-                                         const Tagged &b) {
-        if (a.ev.at != b.ev.at)
-            return a.ev.at < b.ev.at;
-        if (a.region != b.region)
-            return a.region < b.region;
-        return a.idx < b.idx;
-    });
-    // Region 0's ring IS flight_: events were copied out above, so
-    // the reset is safe. Re-recording replays the merged order; the
-    // ring again retains the newest flightDepth entries.
-    flight_.reset(opt_.flightDepth);
-    for (const auto &t : all)
-        flight_.record(t.ev.kind, t.ev.at, t.ev.a, t.ev.b);
 }
 
 void
@@ -1723,15 +1160,14 @@ Simulator::recordFiring(const Engine &e, uint64_t start, uint64_t dur,
 void
 Simulator::noteWake(Engine &e, WakeClass cls, bool spurious)
 {
-    Region &r = *e.region;
-    ++r.wakeups;
-    ++r.wakeupsByClass[static_cast<int>(cls)];
+    ++wakeups_;
+    ++wakeupsByClass_[static_cast<int>(cls)];
     if (spurious) {
-        ++r.spuriousWakeups;
-        ++r.spuriousByClass[static_cast<int>(cls)];
+        ++spuriousWakeups_;
+        ++spuriousByClass_[static_cast<int>(cls)];
     }
-    r.flight->record(telemetry::FlightKind::Wake, r.sched->now(),
-                     e.u->id.v, spurious ? 1 : 0);
+    flight_.record(telemetry::FlightKind::Wake, sched_.now(), e.u->id.v,
+                   spurious ? 1 : 0);
 }
 
 void
@@ -1935,7 +1371,7 @@ Simulator::writeTrace(const fault::FailureReport *failure) const
                 continue;
             w.instant(kSimPid, e->u->id.v,
                       "blocked: " + std::string(e->blockReason) + " [" +
-                          e->blockDetail + "]",
+                          waitDetail(*e) + "]",
                       static_cast<double>(failure->atCycle));
         }
     }
@@ -1943,6 +1379,16 @@ Simulator::writeTrace(const fault::FailureReport *failure) const
     size_t events = w.eventsWritten();
     w.close();
     inform("wrote ", events, " trace events to ", opt_.traceFile);
+}
+
+const std::string &
+Simulator::waitDetail(const Engine &e) const
+{
+    static const std::string kNone;
+    if (e.blockReason == Engine::kNotStarted)
+        return kNone;
+    return e.waitStream >= 0 ? g_.stream(dfg::StreamId(e.waitStream)).name
+                             : e.u->name;
 }
 
 std::vector<fault::WaitNode>
@@ -2003,7 +1449,7 @@ Simulator::buildWaitGraph() const
             break;
           case Engine::WaitKind::None:
             n.wants = *e->blockReason ? e->blockReason : "unknown";
-            n.resource = e->blockDetail;
+            n.resource = waitDetail(*e);
             break;
         }
         if (provider.valid()) {
@@ -2035,7 +1481,7 @@ Simulator::reportHang()
                 continue;
             report += "\n  " + e->u->name + ": waiting on " +
                       std::string(e->blockReason) + " [" +
-                      e->blockDetail + "]";
+                      waitDetail(*e) + "]";
             if (e->stats.stallTotal() > 0) {
                 report += "; stalls:";
                 for (int c = 0; c < kNumStallCauses; ++c) {

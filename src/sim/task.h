@@ -194,9 +194,7 @@ class Scheduler
      * same-cycle events). The simulator's same-cycle arbiters (DRAM
      * channel order, PMU port-bus grants) live here: requests staged
      * during the cycle are resolved in one deterministic pass whose
-     * order does not depend on the event interleave — the property
-     * that lets region-parallel execution stay cycle-identical to the
-     * sequential core.
+     * order does not depend on the event interleave.
      */
     void
     atCycleEnd(EventFn fn, void *arg)
@@ -241,48 +239,6 @@ class Scheduler
             drainCycle();
         }
         return now_;
-    }
-
-    /**
-     * Quantum-bounded drain for region-parallel execution: run events
-     * strictly before `endExclusive`, leaving later events pending.
-     * End-of-cycle handlers for an executed cycle always run before
-     * returning, so no arbitration straddles a quantum boundary. The
-     * cancel flag is polled once per executed cycle — every region
-     * thread of a parallel run honours the watchdog's cooperative
-     * cancel. Returns false when cancelled.
-     */
-    bool
-    runUntil(uint64_t endExclusive,
-             const std::atomic<bool> *cancel = nullptr)
-    {
-        while (pending_ > 0 || !eoc_.empty()) {
-            if (cancel && cancel->load(std::memory_order_relaxed)) {
-                cancelled_ = true;
-                return false;
-            }
-            if (!eoc_.empty() &&
-                (pending_ == 0 || nextEventAt() > now_)) {
-                runEndOfCycle();
-                continue;
-            }
-            uint64_t next = nextEventAt();
-            if (next >= endExclusive)
-                return true;
-            now_ = next;
-            drainCycle();
-        }
-        return true;
-    }
-
-    /** Earliest pending event time, or UINT64_MAX when idle. Only
-     *  meaningful between runUntil() quanta (end-of-cycle handlers
-     *  never remain pending across a quantum boundary). */
-    uint64_t
-    peekNextAt() const
-    {
-        SARA_ASSERT(eoc_.empty(), "peek with end-of-cycle work pending");
-        return pending_ > 0 ? nextEventAt() : UINT64_MAX;
     }
 
     bool idle() const { return pending_ == 0; }
@@ -411,12 +367,9 @@ class Scheduler
 /**
  * A wait list: tasks park here until notified, then re-check their
  * condition (level-triggered use: `while (!cond) co_await cv.wait()`).
- *
- * Wakeup policies: notifyAll() broadcasts (every waiter resumes and
- * re-checks), notifyOne() wakes only the front (FIFO) waiter and
- * opens an insertion cursor so that same-cycle racers and the woken
- * waiter's own re-park (`wait(atCursor = true)`) land in exactly the
- * wait-list order a broadcast would have rebuilt; see notifyOne().
+ * notifyAll() resumes every waiter at the current time in park order;
+ * a waiter that finds its condition still false re-parks at the back,
+ * behind anything that parked while the wake was in flight.
  */
 class CondVar
 {
@@ -434,21 +387,21 @@ class CondVar
     }
 
     auto
-    wait(bool atCursor = false)
+    wait()
     {
         struct Awaiter
         {
             CondVar &cv;
-            bool atCursor;
             bool await_ready() const noexcept { return false; }
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                cv.park(h, atCursor);
+                telemetry::ScopedPhase phase(telemetry::HostPhase::CvWait);
+                cv.waiters_.push_back(h);
             }
             void await_resume() const noexcept {}
         };
-        return Awaiter{*this, atCursor};
+        return Awaiter{*this};
     }
 
     /** Wake all waiters (they resume at the current time). */
@@ -459,61 +412,13 @@ class CondVar
         for (auto h : waiters_)
             sched_->scheduleAfter(h, 0);
         waiters_.clear();
-        wakeInFlight_ = false;
     }
-
-    /**
-     * Wake the longest-parked waiter only.
-     *
-     * A broadcast empties the wait list, so until the woken waiters
-     * resume, any engine parking "fresh" lands *ahead* of every old
-     * waiter that will spuriously re-park behind it. To stay
-     * cycle-identical with that emergent order, notifyOne opens an
-     * insertion cursor at the list front: parks that execute while the
-     * wake is still in flight slot in before the surviving waiters,
-     * and the woken engine's own immediate re-park (wait with
-     * atCursor, see Engine::grantWake) lands right after them —
-     * exactly where its broadcast re-park would have gone. The woken
-     * waiter's resume closes the window via wakeLanded().
-     */
-    void
-    notifyOne()
-    {
-        if (waiters_.empty())
-            return;
-        telemetry::ScopedPhase phase(telemetry::HostPhase::CvWait);
-        sched_->scheduleAfter(waiters_.front(), 0);
-        waiters_.erase(waiters_.begin());
-        wakeInFlight_ = true;
-        cursor_ = 0;
-    }
-
-    /** The waiter woken by notifyOne resumed; stop front-slotting
-     *  fresh parks (call on every resume from wait()). */
-    void wakeLanded() { wakeInFlight_ = false; }
 
     bool hasWaiters() const { return !waiters_.empty(); }
 
   private:
-    void
-    park(std::coroutine_handle<> h, bool atCursor)
-    {
-        telemetry::ScopedPhase phase(telemetry::HostPhase::CvWait);
-        size_t pos = atCursor || wakeInFlight_
-                         ? std::min(cursor_, waiters_.size())
-                         : waiters_.size();
-        waiters_.insert(waiters_.begin() + static_cast<ptrdiff_t>(pos),
-                        h);
-        if (wakeInFlight_ && !atCursor)
-            ++cursor_; // Fresh racers stack up in arrival order.
-    }
-
     Scheduler *sched_ = nullptr;
     std::vector<std::coroutine_handle<>> waiters_;
-    /** True between notifyOne() and the woken waiter's resume. */
-    bool wakeInFlight_ = false;
-    /** Front-insertion point while a wake is in flight. */
-    size_t cursor_ = 0;
 };
 
 } // namespace sara::sim

@@ -293,102 +293,57 @@ TEST(Scheduler, DrainAndReuse)
 
 // --- CondVar wait-list order -----------------------------------------------
 
-/** Takes `rounds` slots; logs its id per slot taken. Follows the
- *  simulator's notify protocol: wakeLanded() on resume, re-park at
- *  the notify cursor after a lost race. */
+/** Parks on `cv` until `open >= need`, logging (id, cycle) on every
+ *  resume (the simulator's level-triggered wait loop). */
 Task
-slotTaker(Scheduler &sched, CondVar &cv, int &slots,
-          std::vector<int> &log, int id, int rounds, uint64_t startAt)
+gatedWaiter(Scheduler &sched, CondVar &cv, const int &open, int need,
+            std::vector<std::pair<int, uint64_t>> &log, int id,
+            uint64_t startAt)
 {
     co_await sched.delay(startAt);
-    bool woken = false;
-    for (int r = 0; r < rounds; ++r) {
-        while (slots == 0) {
-            co_await cv.wait(woken);
-            cv.wakeLanded();
-            woken = true;
-        }
-        --slots;
-        log.push_back(id);
-        woken = false; // A successful take starts a fresh request.
+    while (open < need) {
+        co_await cv.wait();
+        log.emplace_back(id, sched.now());
     }
 }
 
-TEST(CondVar, NotifyOneWakesLongestParked)
+TEST(CondVar, NotifyResumesInParkOrderAndReparksGoBehindNewcomers)
 {
+    // A, B, C park at cycle 0. At cycle 5 a notify wakes all three;
+    // before their resumes run, D (whose timer expiry was scheduled
+    // after the notify, so it runs first) parks into the emptied list.
+    // A resumes, finds its condition still false and re-parks — behind
+    // D. The cycle-10 notify therefore resumes D before A.
     Scheduler sched;
-    CondVar cv;
-    cv.bind(sched);
-    int slots = 0;
-    std::vector<int> log;
-    Task a = slotTaker(sched, cv, slots, log, 1, 1, 0);
-    Task b = slotTaker(sched, cv, slots, log, 2, 1, 0);
-    sched.scheduleAt(a.handle(), 0);
-    sched.scheduleAt(b.handle(), 0);
+    CondVar cv(sched);
+    int open = 0;
+    std::vector<std::pair<int, uint64_t>> log;
+    Task a = gatedWaiter(sched, cv, open, 2, log, 1, 0);
+    Task b = gatedWaiter(sched, cv, open, 1, log, 2, 0);
+    Task c = gatedWaiter(sched, cv, open, 1, log, 3, 0);
+    Task d = gatedWaiter(sched, cv, open, 2, log, 4, 5);
+    for (Task *t : {&a, &b, &c, &d})
+        sched.scheduleAt(t->handle(), 0);
     struct Ctx
     {
         CondVar *cv;
-        int *slots;
-    } ctx{&cv, &slots};
-    auto grant = [](void *p) {
+        int *open;
+        int value;
+    } first{&cv, &open, 1}, second{&cv, &open, 2};
+    auto notify = [](void *p) {
         auto *c = static_cast<Ctx *>(p);
-        ++*c->slots;
-        c->cv->notifyOne();
+        *c->open = c->value;
+        c->cv->notifyAll();
     };
-    sched.scheduleFnAt(grant, &ctx, 5);
-    sched.scheduleFnAt(grant, &ctx, 6);
+    sched.scheduleFnAt(notify, &first, 5);
+    sched.scheduleFnAt(notify, &second, 10);
     sched.run();
-    EXPECT_EQ(log, (std::vector<int>{1, 2})); // FIFO, not LIFO.
-    EXPECT_TRUE(a.done());
-    EXPECT_TRUE(b.done());
-}
-
-TEST(CondVar, NotifyCursorMatchesBroadcastOrder)
-{
-    // The NoC grant scenario: A and B parked; a grant wakes A
-    // (notifyOne), but a same-cycle racer C — whose event runs before
-    // A's resume — takes the slot and parks a follow-up request. Under
-    // a broadcast, the wait list would rebuild as [C, A, B]: C parks
-    // into the emptied list first, then A re-parks, then B. The notify
-    // cursor must reproduce exactly that order.
-    Scheduler sched;
-    CondVar cv;
-    cv.bind(sched);
-    int slots = 0;
-    std::vector<int> log;
-    Task a = slotTaker(sched, cv, slots, log, 1, 1, 0);
-    Task b = slotTaker(sched, cv, slots, log, 2, 1, 0);
-    Task c = slotTaker(sched, cv, slots, log, 3, 2, 5);
-    sched.scheduleAt(a.handle(), 0);
-    sched.scheduleAt(b.handle(), 0);
-    sched.scheduleAt(c.handle(), 0); // Parks itself until cycle 5.
-    struct Ctx
-    {
-        CondVar *cv;
-        int *slots;
-        bool all;
-    } one{&cv, &slots, false}, all{&cv, &slots, true};
-    auto grant = [](void *p) {
-        auto *c = static_cast<Ctx *>(p);
-        *c->slots += c->all ? 3 : 1;
-        if (c->all)
-            c->cv->notifyAll();
-        else
-            c->cv->notifyOne();
-    };
-    // Cycle 5: one slot. notifyOne puts A's wake in flight; C's delay
-    // expiry (scheduled at cycle 0, smaller seq) runs first, steals
-    // the slot and parks its second request at the cursor. A then
-    // re-parks spuriously behind it: list [C, A, B].
-    sched.scheduleFnAt(grant, &one, 5);
-    // Cycle 20: broadcast with slots for everyone — the resulting log
-    // order exposes the wait-list order directly.
-    sched.scheduleFnAt(grant, &all, 20);
-    sched.run();
-    EXPECT_EQ(log, (std::vector<int>{3, 3, 1, 2}));
-    EXPECT_TRUE(a.done());
-    EXPECT_TRUE(b.done());
-    EXPECT_TRUE(c.done());
+    using Wake = std::pair<int, uint64_t>;
+    EXPECT_EQ(log, (std::vector<Wake>{{1, 5}, {2, 5}, {3, 5}, {4, 10},
+                                      {1, 10}}));
+    for (Task *t : {&a, &b, &c, &d})
+        EXPECT_TRUE(t->done());
+    EXPECT_FALSE(cv.hasWaiters());
 }
 
 } // namespace

@@ -20,7 +20,6 @@
 #include "sim/fifo.h"
 #include "sim/task.h"
 #include "tests/helpers.h"
-#include "tests/program_gen.h"
 
 namespace sara {
 namespace {
@@ -495,8 +494,7 @@ TEST(Stalls, FifoHighWaterWithinCapacity)
 // bit-identical. These counts were recorded after canonical end-of-cycle
 // arbitration landed (same-cycle DRAM accesses and PMU port-bus grants
 // resolve in unit-id order, making timing independent of host event
-// order — the invariant the region-parallel core asserts against); any
-// drift here means the event core changed *simulated* behaviour, not
+// order); any drift here means the event core changed *simulated* behaviour, not
 // just its own speed.
 // ---------------------------------------------------------------------
 
@@ -581,289 +579,6 @@ TEST(CycleIdentity, InjectedReplayGoldens)
             << row.workload << " " << row.spec << " seed " << row.seed;
     }
 }
-
-// ---------------------------------------------------------------------
-// Region-parallel execution (SimOptions::simThreads). The contract is
-// absolute: a parallel run produces the *same* simulation as the
-// sequential core — same cycles, same firings, same final tensors —
-// either by running regions under the conservative quantum barrier or
-// by detecting that it can't and falling back to the sequential core.
-// ---------------------------------------------------------------------
-
-TEST(ParallelSim, CycleIdenticalToSequentialAllWorkloads)
-{
-    static constexpr const char *kNames[] = {
-        "mlp", "lstm", "snet", "pr",     "bs",     "sort",
-        "rf",  "ms",   "sgd",  "kmeans", "logreg", "gda",
-    };
-    for (const char *name : kNames) {
-        workloads::WorkloadConfig cfg;
-        cfg.par = 8;
-        auto w = workloads::buildByName(name, cfg);
-        runtime::RunConfig seq;
-        auto rs = runtime::runWorkload(w, seq);
-        EXPECT_EQ(rs.sim.simThreads, 1) << name;
-        EXPECT_EQ(rs.sim.quanta, 0u) << name;
-        for (int threads : {2, 4}) {
-            runtime::RunConfig par;
-            par.sim.simThreads = threads;
-            auto rp = runtime::runWorkload(w, par);
-            EXPECT_EQ(rp.sim.cycles, rs.sim.cycles)
-                << name << " threads=" << threads << " fallback="
-                << rp.sim.fallbackReason;
-            EXPECT_EQ(rp.sim.totalFirings, rs.sim.totalFirings) << name;
-            EXPECT_EQ(rp.sim.flops, rs.sim.flops) << name;
-            EXPECT_EQ(rp.sim.tensors, rs.sim.tensors) << name;
-        }
-    }
-}
-
-TEST(ParallelSim, NocRunsFallBackToSequential)
-{
-    workloads::WorkloadConfig cfg;
-    cfg.par = 8;
-    auto w = workloads::buildByName("ms", cfg);
-    runtime::RunConfig seq;
-    seq.sim.useNoc = true;
-    auto rs = runtime::runWorkload(w, seq);
-    runtime::RunConfig par;
-    par.sim.useNoc = true;
-    par.sim.simThreads = 4;
-    auto rp = runtime::runWorkload(w, par);
-    EXPECT_TRUE(rp.sim.parallelFallback);
-    EXPECT_EQ(rp.sim.fallbackReason, "noc");
-    EXPECT_EQ(rp.sim.simThreads, 1);
-    EXPECT_EQ(rp.sim.cycles, rs.sim.cycles);
-    EXPECT_EQ(rp.sim.tensors, rs.sim.tensors);
-}
-
-TEST(ParallelSim, GraphModelsCycleIdenticalFixedAndNoc)
-{
-    // The layer-graph frontend models take the same path: fixed-mode
-    // runs are cycle-identical under region parallelism, NoC-mode
-    // runs fall back to the sequential core (shared arbitration state
-    // cannot be partitioned) with identical cycles either way.
-    static constexpr const char *kModels[] = {
-        "mlp_graph", "transformer_cell", "resnet_block"};
-    for (const char *name : kModels) {
-        workloads::WorkloadConfig cfg;
-        auto w = workloads::buildByName(name, cfg);
-        for (bool noc : {false, true}) {
-            runtime::RunConfig seq;
-            seq.sim.useNoc = noc;
-            auto rs = runtime::runWorkload(w, seq);
-            runtime::RunConfig par;
-            par.sim.useNoc = noc;
-            par.sim.simThreads = 4;
-            auto rp = runtime::runWorkload(w, par);
-            EXPECT_EQ(rp.sim.cycles, rs.sim.cycles)
-                << name << " noc=" << noc
-                << " fallback=" << rp.sim.fallbackReason;
-            EXPECT_EQ(rp.sim.tensors, rs.sim.tensors) << name;
-            if (noc) {
-                EXPECT_TRUE(rp.sim.parallelFallback) << name;
-                EXPECT_EQ(rp.sim.fallbackReason, "noc") << name;
-            }
-        }
-    }
-}
-
-TEST(ParallelSim, QuantumOfOneStillCycleIdentical)
-{
-    // maxQuantum = 1 barriers after every cycle — the worst case for
-    // the conservative window math (every cross-region delivery lands
-    // exactly one window ahead).
-    workloads::WorkloadConfig cfg;
-    cfg.par = 8;
-    auto w = workloads::buildByName("ms", cfg);
-    runtime::RunConfig seq;
-    auto rs = runtime::runWorkload(w, seq);
-    runtime::RunConfig par;
-    par.sim.simThreads = 4;
-    par.sim.maxQuantum = 1;
-    auto rp = runtime::runWorkload(w, par);
-    EXPECT_EQ(rp.sim.cycles, rs.sim.cycles)
-        << "fallback=" << rp.sim.fallbackReason;
-    EXPECT_EQ(rp.sim.tensors, rs.sim.tensors);
-    if (!rp.sim.parallelFallback) {
-        // Single-cycle windows: one barrier per *active* cycle (idle
-        // gaps are skipped, so quanta <= cycles but stays large).
-        EXPECT_GT(rp.sim.quanta, rs.sim.cycles / 2);
-        EXPECT_LE(rp.sim.quanta, rs.sim.cycles + 2);
-    }
-}
-
-TEST(ParallelSim, CountersIdenticalUnderParallelRun)
-{
-    // The per-unit counter file is assembled from engine stats and
-    // FIFO high-water marks after the region threads join; a parallel
-    // run must reproduce every cycle-attributed counter exactly.
-    // `occ_peak` is the one exception on cut streams: the producer's
-    // conservative occupancy view returns credits only at quantum
-    // boundaries, so its high-water can legitimately exceed the
-    // sequential one — it is excluded here, never hidden elsewhere.
-    workloads::WorkloadConfig cfg;
-    cfg.par = 8;
-    auto w = workloads::buildByName("kmeans", cfg);
-    runtime::RunConfig seq;
-    auto rs = runtime::runWorkload(w, seq);
-    runtime::RunConfig par;
-    par.sim.simThreads = 4;
-    auto rp = runtime::runWorkload(w, par);
-    ASSERT_EQ(rp.sim.cycles, rs.sim.cycles)
-        << "fallback=" << rp.sim.fallbackReason;
-    ASSERT_EQ(rp.sim.counters.size(), rs.sim.counters.size());
-    for (size_t b = 0; b < rs.sim.counters.size(); ++b) {
-        const auto &bs = rs.sim.counters.blocks()[b];
-        const auto *bp = rp.sim.counters.find(bs.id);
-        ASSERT_NE(bp, nullptr) << "missing block " << bs.id;
-        EXPECT_EQ(bp->kind, bs.kind);
-        for (const auto &[name, value] : bs.counters) {
-            if (name == "occ_peak")
-                continue;
-            EXPECT_EQ(bp->get(name), value)
-                << bs.id << " counter " << name;
-        }
-        if (!rp.sim.parallelFallback) {
-            EXPECT_GE(bp->get("occ_peak"), bs.get("occ_peak"))
-                << bs.id << " conservative peak below sequential";
-        }
-    }
-}
-
-TEST(ParallelSim, ThreadCountClampsToClusterCount)
-{
-    // Asking for far more threads than the dependency graph has
-    // independent clusters must clamp (never materialize an empty
-    // region) and stay cycle-identical.
-    workloads::WorkloadConfig cfg;
-    cfg.par = 8;
-    auto w = workloads::buildByName("ms", cfg);
-    runtime::RunConfig seq;
-    auto rs = runtime::runWorkload(w, seq);
-    runtime::RunConfig par;
-    par.sim.simThreads = 64;
-    auto rp = runtime::runWorkload(w, par);
-    EXPECT_EQ(rp.sim.cycles, rs.sim.cycles)
-        << "fallback=" << rp.sim.fallbackReason;
-    EXPECT_EQ(rp.sim.tensors, rs.sim.tensors);
-    EXPECT_GE(rp.sim.simRegions, 1);
-    EXPECT_LE(rp.sim.simRegions, 64);
-}
-
-TEST(ParallelSim, CutCreditReturnsAtQuantumBoundary)
-{
-    // FifoState-level contract of the mailbox protocol: a consumer
-    // pop on a cut stream banks the credit instead of returning it;
-    // the producer's local occupancy view only shrinks when the
-    // serial barrier phase calls applyCutBoundary(). Staged pushes
-    // likewise only become visible to the consumer at the boundary.
-    Scheduler prod, cons;
-    dfg::Stream spec;
-    spec.name = "cut";
-    spec.kind = dfg::StreamKind::Data;
-    spec.depth = 1;
-    spec.latency = 2; // Credit window = depth + latency = 3.
-    FifoState f;
-    f.init(prod, spec);
-    std::atomic<bool> conflict{false};
-    f.makeCut(prod, cons, nullptr, nullptr, &conflict);
-    ASSERT_TRUE(f.isCut());
-
-    // Producer fills the whole credit window.
-    ASSERT_EQ(f.capacity(), 3u);
-    f.push({1.0});
-    f.push({2.0});
-    f.push({3.0});
-    EXPECT_EQ(f.occupancy(), 3u);
-    EXPECT_FALSE(f.hasSpace());
-
-    // Nothing reaches the consumer before the boundary.
-    cons.run();
-    EXPECT_TRUE(f.empty());
-
-    // Boundary 1: staged elements transfer onto the consumer's
-    // scheduler; the producer's view is still full (no pops yet).
-    f.applyCutBoundary();
-    EXPECT_EQ(f.occupancy(), 3u);
-    cons.run();
-    ASSERT_FALSE(f.empty());
-
-    // Consumer pops two elements: credits are banked, the producer's
-    // occupancy view must NOT move until the next boundary.
-    f.pop();
-    f.pop();
-    EXPECT_EQ(f.occupancy(), 3u);
-    EXPECT_FALSE(f.hasSpace());
-
-    // Boundary 2: banked credits land; the producer may push again.
-    f.applyCutBoundary();
-    EXPECT_EQ(f.occupancy(), 1u);
-    EXPECT_TRUE(f.hasSpace());
-    EXPECT_FALSE(conflict.load());
-}
-
-// ---------------------------------------------------------------------
-// Property: on randomized small meshes (the CMMC property generator's
-// random loop nests / branches / reductions compiled onto the tiny
-// chip), the region-parallel core must reproduce the sequential
-// oracle bit-exactly — or fall back and reproduce it trivially. This
-// also exercises the indivisible-graph path organically: some seeds
-// produce graphs with a single cluster.
-// ---------------------------------------------------------------------
-
-class ParallelQuantum : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(ParallelQuantum, RandomMeshesMatchSequentialOracle)
-{
-    int seed = GetParam();
-    test::ProgramGen gen(static_cast<uint64_t>(seed) * 7919 + 13);
-    auto generated = gen.generate();
-    auto compiled =
-        compiler::compile(generated.program, test::tinyOptions());
-
-    auto runWith = [&](SimOptions o) {
-        Simulator s(compiled.program, compiled.lowering.graph,
-                    dram::DramSpec::hbm2(), o);
-        for (const auto &[tid, data] : generated.dramInputs)
-            s.setDramTensor(ir::TensorId(tid), data);
-        return s.run();
-    };
-
-    SimResult seq = runWith({});
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    for (int threads : {2, 4}) {
-        SimOptions o;
-        o.simThreads = threads;
-        SimResult par = runWith(o);
-        EXPECT_EQ(par.cycles, seq.cycles)
-            << "threads=" << threads
-            << " fallback=" << par.fallbackReason;
-        EXPECT_EQ(par.totalFirings, seq.totalFirings);
-        EXPECT_EQ(par.tensors, seq.tensors);
-        if (par.parallelFallback) {
-            // The only legitimate mid-flight/upfront reasons here.
-            EXPECT_TRUE(par.fallbackReason == "indivisible-graph" ||
-                        par.fallbackReason == "cut-conflict")
-                << par.fallbackReason;
-        }
-    }
-
-    // Quantum-of-1 edge case on every seed: barriers after every
-    // active cycle must not change the simulation either.
-    SimOptions q1;
-    q1.simThreads = 2;
-    q1.maxQuantum = 1;
-    SimResult parq = runWith(q1);
-    EXPECT_EQ(parq.cycles, seq.cycles)
-        << "fallback=" << parq.fallbackReason;
-    EXPECT_EQ(parq.tensors, seq.tensors);
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomMeshes, ParallelQuantum,
-                         ::testing::Range(1, 13));
 
 /** A deadlocked run must still flush the trace before panicking —
  *  the timeline up to the hang is the diagnosis. */

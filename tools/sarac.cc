@@ -35,14 +35,6 @@
  *                      instead of the fixed PnR latencies
  *   --noc-stats        print the per-link network utilization table
  *                      (implies --noc)
- *   --sim-threads N    run the event core region-parallel on N worker
- *                      threads (default 1 = sequential). The mesh is
- *                      partitioned into per-thread regions advanced
- *                      under a conservative time-quantum barrier;
- *                      results are cycle-identical to sequential.
- *                      Incompatible graphs or modes (--noc, --inject,
- *                      --trace) fall back to the sequential core and
- *                      say so in the report
  *   --trace FILE       write a unified Chrome trace (compile phases +
  *                      every firing + DRAM counter tracks). In --batch
  *                      mode the same flag records the batch timeline
@@ -123,7 +115,7 @@ usage()
                  "[--dram hbm2|ddr3] [--chip paper|vanilla|tiny]\n"
                  "             [--control cmmc|fsm] [--partitioner ALG] "
                  "[--no-OPT ...] [--check] [--max-cycles N] "
-                 "[--noc] [--noc-stats] [--sim-threads N]\n"
+                 "[--noc] [--noc-stats]\n"
                  "             [--trace FILE] [--json FILE] "
                  "[--dump-graph] [--units] [--stalls] [--counters]\n"
                  "             [--cache] [--cache-dir DIR] "
@@ -197,16 +189,6 @@ printReport(const workloads::Workload &w, const CliOptions &cli,
                 static_cast<unsigned long long>(r.sim.cycles),
                 r.timeUs(), r.gflops(), r.dramGBs(),
                 r.sim.avgComputeUtilization);
-    if (r.sim.simThreads > 1) {
-        std::printf("parallel: %d regions, %llu quanta, barrier wait "
-                    "%.0f%%\n",
-                    r.sim.simRegions,
-                    static_cast<unsigned long long>(r.sim.quanta),
-                    r.sim.barrierWaitRatio * 100.0);
-    } else if (r.sim.parallelFallback) {
-        std::printf("parallel: fell back to sequential core (%s)\n",
-                    r.sim.fallbackReason.c_str());
-    }
     if (r.sim.noc.enabled) {
         const auto &n = r.sim.noc;
         std::printf("noc: %d links (peak %d streams/link), %llu flits "
@@ -600,10 +582,6 @@ realMain(int argc, char **argv)
         } else if (arg == "--noc-stats") {
             cli.rc.sim.useNoc = true;
             cli.nocStats = true;
-        } else if (arg == "--sim-threads") {
-            cli.rc.sim.simThreads = std::stoi(next());
-            if (cli.rc.sim.simThreads < 1)
-                fatal("--sim-threads must be >= 1");
         } else if (arg == "--inject") {
             cli.faults.push_back(fault::parseFaultSpec(next()));
         } else if (arg == "--inject-seed") {

@@ -24,12 +24,6 @@
  *                       unlisted tenants weigh 1)
  *   --retries N         TransientError retries per request (default 1)
  *   --max-cycles N      per-request simulator cycle budget default
- *   --sim-threads N     region-parallel event core threads per
- *                       simulation (default 1 = sequential). Responses
- *                       report the achieved thread count and barrier
- *                       wait; the stats verb aggregates parallel vs
- *                       fallback runs. Watchdog deadlines still hold:
- *                       every region thread polls the cancel flag
  *
 
  * Crash-only serving:
@@ -106,8 +100,7 @@ usage()
         "usage: sarad [--socket PATH] [--workers N] [--queue-depth N]\n"
         "             [--cache | --cache-dir DIR] [--mem-entries N]\n"
         "             [--tenant-weight TENANT=W ...] [--retries N]\n"
-        "             [--max-cycles N] [--sim-threads N] "
-        "[--max-conns N]\n"
+        "             [--max-cycles N] [--max-conns N]\n"
         "             [--read-deadline-ms MS] [--idle-timeout-ms MS]\n"
         "             [--request-deadline-ms MS]\n"
         "             [--breaker-threshold N] "
@@ -155,10 +148,6 @@ realMain(int argc, char **argv)
             opt.maxAttempts = 1 + std::stoi(next());
         } else if (arg == "--max-cycles") {
             opt.defaultMaxCycles = std::stoull(next());
-        } else if (arg == "--sim-threads") {
-            opt.simThreads = std::stoi(next());
-            if (opt.simThreads < 1)
-                fatal("--sim-threads must be >= 1");
         } else if (arg == "--max-conns") {
             opt.maxConnections = std::stoul(next());
         } else if (arg == "--read-deadline-ms") {
