@@ -7,7 +7,10 @@
  * sampling-profiler breakdown of where the wall time goes (scheduler
  * drain, CV waits, fire path, NoC arbitration, DRAM model), and peak
  * RSS. Each workload compiles once and re-simulates `--reps` times per
- * mode (best-of to shed scheduler noise).
+ * mode. `host_ms` is the best of the reps (it sheds scheduler noise
+ * and drives the throughput columns); `host_ms_median` and
+ * `host_ms_iqr` (interquartile range, linear interpolation between
+ * order statistics) give the spread a few-percent change must clear.
  *
  * Sweep points route through the src/jobs pool: `-j N` runs them
  * concurrently (deterministic output order; results land in
@@ -28,6 +31,7 @@
  *              [-j N]
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -107,11 +111,26 @@ peakRssKib()
     return static_cast<uint64_t>(ru.ru_maxrss);
 }
 
+/** The q-quantile of sorted `xs` (linear interpolation between order
+ *  statistics); 0 for an empty sample. */
+double
+quantile(const std::vector<double> &xs, double q)
+{
+    if (xs.empty())
+        return 0.0;
+    double pos = q * static_cast<double>(xs.size() - 1);
+    size_t lo = static_cast<size_t>(pos);
+    size_t hi = std::min(lo + 1, xs.size() - 1);
+    return xs[lo] + (pos - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
+}
+
 /** One simulate-only measurement (compile reused via preCompiled). */
 struct Measure
 {
     sim::SimResult sim;
     double bestMs = 0.0;
+    double medianMs = 0.0;
+    double iqrMs = 0.0; ///< Interquartile range of the rep wall-times.
     /** Host-profiler samples per phase (when profiled). */
     uint64_t phase[telemetry::kNumHostPhases] = {};
     uint64_t phaseTotal = 0;
@@ -131,16 +150,19 @@ simulate(const workloads::Workload &w, runtime::RunConfig rc,
     auto &prof = telemetry::HostProfiler::global();
     if (profile)
         prof.clearSamples();
+    std::vector<double> times;
     for (int r = 0; r < reps; ++r) {
         auto t0 = std::chrono::steady_clock::now();
         auto out = runtime::runWorkload(w, rc);
         auto t1 = std::chrono::steady_clock::now();
-        double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (r == 0 || ms < m.bestMs)
-            m.bestMs = ms;
+        times.push_back(
+            std::chrono::duration<double, std::milli>(t1 - t0).count());
         m.sim = std::move(out.sim);
     }
+    std::sort(times.begin(), times.end());
+    m.bestMs = times.front();
+    m.medianMs = quantile(times, 0.5);
+    m.iqrMs = quantile(times, 0.75) - quantile(times, 0.25);
     if (profile) {
         for (int p = 0; p < telemetry::kNumHostPhases; ++p)
             m.phase[p] =
@@ -185,8 +207,8 @@ perfMain(int argc, char **argv)
         compiled[i] = runtime::runWorkload(ws[i], rc);
     });
 
-    Table table({"app", "mode", "cycles", "ms", "Mcyc/s", "Mev/s",
-                 "wakeups", "spurious%", "rss MiB"});
+    Table table({"app", "mode", "cycles", "ms", "med ms", "iqr ms",
+                 "Mcyc/s", "Mev/s", "wakeups", "spurious%", "rss MiB"});
     BenchJson out("perf");
 
     // Sampling profiler: attributes each point's wall time to
@@ -230,7 +252,8 @@ perfMain(int argc, char **argv)
         totalSpur += m.sim.spuriousWakeups;
 
         table.addRow({name, mode, std::to_string(m.sim.cycles),
-                      Table::fmt(m.bestMs, 2), Table::fmt(mcycS, 2),
+                      Table::fmt(m.bestMs, 2), Table::fmt(m.medianMs, 2),
+                      Table::fmt(m.iqrMs, 2), Table::fmt(mcycS, 2),
                       Table::fmt(mevS, 2), std::to_string(m.sim.wakeups),
                       Table::fmt(100.0 * spurRatio, 1),
                       Table::fmt(pts[p].rss / 1024.0, 0)});
@@ -243,6 +266,8 @@ perfMain(int argc, char **argv)
             .kv("wakeups", m.sim.wakeups)
             .kv("spurious", m.sim.spuriousWakeups)
             .kv("host_ms", m.bestMs)
+            .kv("host_ms_median", m.medianMs)
+            .kv("host_ms_iqr", m.iqrMs)
             .kv("mcycles_per_s", mcycS)
             .kv("events_per_s", mevS * 1e6)
             .kv("spurious_ratio", spurRatio)

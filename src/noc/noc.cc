@@ -350,8 +350,6 @@ NocModel::stats() const
     s.hops = totalHops_;
     s.queueCycles = totalQueueCycles_;
     s.peakInflight = peakInflight_;
-    s.load = loadSeries_;
-    s.busyLinks = busySeries_;
     s.linkUse.reserve(links_.size());
     // linkIndex_ iterates in (x, y, dir) order — deterministic output.
     for (const auto &[where, idx] : linkIndex_) {

@@ -78,8 +78,6 @@ struct NocStats
     uint64_t queueCycles = 0;  ///< Total flit-cycles spent queued.
     uint64_t peakInflight = 0; ///< Peak flits in the network at once.
     std::vector<LinkUse> linkUse; ///< Sorted by (x, y, dir).
-    telemetry::TimeSeries load;   ///< Flits in flight over time.
-    telemetry::TimeSeries busyLinks; ///< Links with queued flits.
 };
 
 /**
@@ -154,6 +152,12 @@ class NocModel
     uint64_t inflight() const { return inflight_; }
 
     NocStats stats() const;
+
+    /** Trace counter tracks, sampled on every inject/deliver
+     *  transition: flits inside the network, and links with a queued
+     *  flit (both vs. cycle). */
+    const telemetry::TimeSeries &loadSeries() const { return loadSeries_; }
+    const telemetry::TimeSeries &busySeries() const { return busySeries_; }
 
   private:
     /** One in-network element (all lanes of one firing). */

@@ -279,17 +279,23 @@ jsonReport(const workloads::Workload &w, const RunConfig &config,
     return j.str();
 }
 
+bool
+writeReportFile(const std::string &path, const std::string &doc)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return false;
+    bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size() &&
+              std::fputc('\n', f) != EOF;
+    return std::fclose(f) == 0 && ok;
+}
+
 void
 writeJsonReport(const std::string &path, const workloads::Workload &w,
                 const RunConfig &config, const RunOutcome &r)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
+    if (!writeReportFile(path, jsonReport(w, config, r)))
         fatal("cannot write JSON report to ", path);
-    std::string doc = jsonReport(w, config, r);
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
     inform("wrote run report to ", path);
 }
 

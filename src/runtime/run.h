@@ -86,7 +86,12 @@ std::string summarize(const workloads::Workload &w, const RunOutcome &r);
 std::string jsonReport(const workloads::Workload &w,
                        const RunConfig &config, const RunOutcome &r);
 
-/** Write jsonReport() to `path`; fatal()s when the file can't open. */
+/** Write `doc` plus a trailing newline to `path`; false when the file
+ *  can't be opened or written (the caller decides whether that is
+ *  fatal). */
+bool writeReportFile(const std::string &path, const std::string &doc);
+
+/** Write jsonReport() to `path`; fatal()s when it can't be written. */
 void writeJsonReport(const std::string &path,
                      const workloads::Workload &w, const RunConfig &config,
                      const RunOutcome &r);

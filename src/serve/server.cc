@@ -222,12 +222,13 @@ Server::acceptLoop()
         }
         if (opt_.maxConnections > 0 && active >= opt_.maxConnections) {
             // Bounded connections: answer with a structured shed and
-            // close — never spawn an unbounded reader thread.
+            // close — never spawn an unbounded reader thread. Count
+            // first: the client may read the line before close returns.
+            count("serve.overloaded");
             std::string line =
                 overloadedResponse(retryAfterHintMs()) + "\n";
             ::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
             ::close(fd);
-            count("serve.overloaded");
             continue;
         }
         auto conn = std::make_shared<Conn>();
@@ -663,7 +664,6 @@ Server::executeCompileOrRun(const Request &req, double queueMs,
         rc.compiler = copt;
         rc.check = req.check;
         rc.sim.useNoc = req.noc;
-        rc.sim.hangDiagnosis = true;
         rc.sim.cancel = fl ? &fl->cancel : nullptr;
         // The watchdog wakes every deadline/8 (at least 1 ms), so a
         // short simulation could finish before it notices a compile

@@ -24,12 +24,17 @@
  *   - When counter k wraps, level-k outputs push (reductions combine
  *     across lanes) and level-k inputs pop.
  *
- * Deadlocks (CMMC bugs, mis-leveled streams) are detected when the
- * event queue drains with unfinished engines; the report lists every
- * blocked engine, what it waits on, and its stall-cause histogram.
- * With SimOptions::hangDiagnosis the flat panic is replaced by a
- * wait-for-graph classification (true deadlock vs starvation vs
- * injected fault) thrown as a structured fault::HangError.
+ * Hangs (CMMC bugs, mis-leveled streams, injected faults) are
+ * detected when the event queue drains with unfinished engines, when
+ * the cycle budget runs out, or on external cancellation. All three
+ * escalate the same way: the wait-for graph over tokens, credits, FIFO
+ * slots and NoC link reservations is classified (true deadlock vs
+ * starvation-livelock vs injected fault) and thrown as a structured
+ * fault::HangError listing every blocked engine, what it waits on, its
+ * stall-cause histogram and the flight-recorder timeline.
+ *
+ * The engine coroutines live in simulator.cc; trace, counter and
+ * failure-report assembly live in report.cc.
  */
 
 #include <array>
@@ -83,11 +88,6 @@ struct SimOptions
      *  injector are cycle-identical to builds without the subsystem.
      *  Not owned; must outlive the simulator. */
     const fault::FaultInjector *fault = nullptr;
-    /** On a hang, build the wait-for graph over tokens, credits, FIFO
-     *  slots and NoC link reservations, classify deadlock vs
-     *  starvation vs injected fault, and throw a structured
-     *  fault::HangError instead of the flat deadlock panic. */
-    bool hangDiagnosis = false;
     /** Core-grid dimensions for the per-unit counter file and the
      *  `--counters` heatmap (filled from arch::PlasticineSpec by the
      *  runtime layer; fringe AGs sit at x = -1 / x = fabricCols). */
@@ -193,10 +193,6 @@ struct SimResult
     std::array<uint64_t, kNumStallCauses> stallTotals{};
     /** Per-stream pressure (indexed by StreamId). */
     std::vector<FifoStats> fifoStats;
-    /** Sampled DRAM telemetry: outstanding requests across all AGs,
-     *  and cumulative bytes transferred (both vs. cycle). */
-    telemetry::TimeSeries dramOutstanding;
-    telemetry::TimeSeries dramBytesSeries;
     /** Network statistics (enabled=false on fixed-latency runs). */
     noc::NocStats noc;
     /** Final memory contents per tensor id (reconstructed across
@@ -231,7 +227,8 @@ class Simulator
     /** Pre-set DRAM tensor contents (defaults to zeros). */
     void setDramTensor(ir::TensorId id, std::vector<double> data);
 
-    /** Run to completion; panics with a diagnosis on deadlock. */
+    /** Run to completion; throws fault::HangError on a hang, budget
+     *  overrun or cancellation. */
     SimResult run();
 
   private:
@@ -270,24 +267,33 @@ class Simulator
     void resolveArbitration();
 
     void buildState();
-    [[noreturn]] void reportHang();
-    [[noreturn]] void reportBudgetExceeded();
-    [[noreturn]] void reportCancelled();
+    void collectTensors(SimResult &result);
+    /** Per-wakeup bookkeeping: aggregate + per-class tallies and a
+     *  flight-recorder Wake event. */
+    void noteWake(Engine &e, WakeClass cls, bool spurious);
+
+    // Report assembly (report.cc).
+
+    /** Why a run stopped short: the event queue drained with engines
+     *  unfinished, the cycle budget ran out, or SimOptions::cancel. */
+    enum class HangCause : uint8_t { Drained, Budget, Cancelled };
+    /** Classify, attach the timeline, flush the trace, log and throw
+     *  fault::HangError. Budget and cancel snapshots are mid-flight,
+     *  so they never report a deadlock. */
+    [[noreturn]] void escalate(HangCause cause);
     std::vector<fault::WaitNode> buildWaitGraph() const;
     /** What a blocked engine waits on, for hang text, trace instants
      *  and wait-for-graph resources: the stream of its current or most
      *  recent stream wait, else its own unit (DRAM, arbitration), and
      *  empty before it first blocks. */
     const std::string &waitDetail(const Engine &e) const;
-    void collectTensors(SimResult &result);
-    /** Per-wakeup bookkeeping: aggregate + per-class tallies and a
-     *  flight-recorder Wake event. */
-    void noteWake(Engine &e, WakeClass cls, bool spurious);
     /** Assemble the per-unit CounterFile (engine blocks from
      *  UnitStats, router blocks from the NoC link stats). */
     void buildCounters(SimResult &result) const;
     /** Format the flight-recorder ring into `fr.timeline`. */
     void buildTimeline(fault::FailureReport &fr) const;
+    /** Trace-only recorders: the fire path and the AGs call these only
+     *  when SimOptions::traceFile is set. */
     void recordFiring(const Engine &e, uint64_t start, uint64_t dur,
                       bool skip);
     void sampleDram();
@@ -300,7 +306,7 @@ class Simulator
     dram::DramModel dram_;
     std::unique_ptr<noc::NocModel> noc_; ///< Non-null when useNoc.
 
-    /** DRAM requests in flight across every AG (telemetry). */
+    /** DRAM requests in flight across every AG (trace telemetry). */
     int dramOutstanding_ = 0;
     // Wakeup accounting (see noteWake).
     uint64_t wakeups_ = 0;
@@ -320,6 +326,9 @@ class Simulator
     std::array<uint64_t, 16> regionFirings_{};
     /** Recycled Element lane buffers for the fire path. */
     ElementPool pool_;
+    /** Sampled DRAM telemetry for the trace's counter tracks:
+     *  outstanding requests across all AGs, and cumulative bytes
+     *  transferred (both vs. cycle). Only populated when tracing. */
     telemetry::TimeSeries dramOutstandingSeries_{4096, 8};
     telemetry::TimeSeries dramBytesSeries_{4096, 8};
 

@@ -205,11 +205,11 @@ class Scheduler
     /**
      * Run until no events remain, or until the next event would lie
      * past `maxCycles` — then stop with `budgetExceeded()` set so the
-     * caller can escalate through its hang-diagnosis path. A non-null
-     * `cancel` flag is polled once per simulated cycle (relaxed load:
-     * the exact stop cycle may trail the store by one poll, which is
-     * fine for a wall-clock watchdog); when it goes true the run stops
-     * with `cancelled()` set. Returns the final time.
+     * caller can escalate it as a hang. A non-null `cancel` flag is
+     * polled once per simulated cycle (relaxed load: the exact stop
+     * cycle may trail the store by one poll, which is fine for a
+     * wall-clock watchdog); when it goes true the run stops with
+     * `cancelled()` set. Returns the final time.
      */
     uint64_t
     run(uint64_t maxCycles = UINT64_MAX,

@@ -142,14 +142,13 @@ TEST(Cli, ExhaustedCycleBudgetExitsNonzero)
 
 TEST(Cli, ExhaustedCycleBudgetClassifiedWithDiagnosis)
 {
-    // With --hang-diagnosis the overrun goes through the wait-for
-    // graph classifier: a structured failure report flagged as a
-    // budget overrun, classified livelock (no wait cycle closes over
-    // engines that are still making progress).
+    // Every overrun goes through the wait-for graph classifier: a
+    // structured failure report flagged as a budget overrun, classified
+    // livelock (no wait cycle closes over engines that are still making
+    // progress).
     TempDir tmp("sara-cli-budget-test");
     std::string json = (tmp.path / "failure.json").string();
-    auto r = runSarac("ms --par 8 --max-cycles 10 --hang-diagnosis "
-                      "--json " + json);
+    auto r = runSarac("ms --par 8 --max-cycles 10 --json " + json);
     EXPECT_EQ(r.exitCode, 4) << r.output;
     EXPECT_NE(r.output.find("exceeded"), std::string::npos) << r.output;
     std::FILE *f = std::fopen(json.c_str(), "r");
@@ -167,6 +166,15 @@ TEST(Cli, ExhaustedCycleBudgetClassifiedWithDiagnosis)
     EXPECT_NE(doc.find("\"classification\":\"starvation-livelock\""),
               std::string::npos)
         << doc;
+
+    // An unwritable report path only warns: the hang still exits 4.
+    auto unwritable = runSarac("ms --par 8 --max-cycles 10 --json " +
+                               (tmp.path / "no-such-dir" / "f.json")
+                                   .string());
+    EXPECT_EQ(unwritable.exitCode, 4) << unwritable.output;
+    EXPECT_NE(unwritable.output.find("cannot write failure report"),
+              std::string::npos)
+        << unwritable.output;
 }
 
 TEST(Cli, ArtifactEmitLoadRoundTrip)
@@ -254,7 +262,7 @@ TEST(Cli, InjectedHangIsClassifiedAndExitsFour)
     std::string json = (tmp.path / "failure.json").string();
     auto r = runSarac("ms --par 8 --noc "
                       "--inject stuck-credit:window=200-:delay=64 "
-                      "--hang-diagnosis --json " + json);
+                      "--json " + json);
     EXPECT_EQ(r.exitCode, 4) << r.output;
     EXPECT_NE(r.output.find("injected-fault-induced"),
               std::string::npos)
@@ -281,7 +289,8 @@ TEST(Cli, FlatHangWithoutDiagnosisStillExitsFour)
     auto r = runSarac("ms --par 8 --noc "
                       "--inject stuck-credit:window=200-:delay=64");
     EXPECT_EQ(r.exitCode, 4) << r.output;
-    // Legacy panic path, now with stall histograms (no classifier).
+    // Without --json the classified report still reaches the log,
+    // stall histograms included.
     EXPECT_NE(r.output.find("stalls:"), std::string::npos) << r.output;
 }
 

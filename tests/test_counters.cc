@@ -311,7 +311,6 @@ TEST(Timeline, HangReportCarriesRecentEvents)
     runtime::RunConfig rc;
     rc.check = false;
     rc.sim.fault = &inj;
-    rc.sim.hangDiagnosis = true;
     bool hung = false;
     try {
         runtime::runWorkload(w, rc);
@@ -352,7 +351,6 @@ TEST(Timeline, FlightDepthZeroDisablesIt)
     runtime::RunConfig rc;
     rc.check = false;
     rc.sim.fault = &inj;
-    rc.sim.hangDiagnosis = true;
     rc.sim.flightDepth = 0;
     bool hung = false;
     try {

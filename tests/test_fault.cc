@@ -1,6 +1,6 @@
 /**
  * @file
- * Fault-injection and hang-diagnosis tests: the `--inject` spec
+ * Fault-injection and hang-classification tests: the `--inject` spec
  * grammar, injector determinism (decisions are pure hashes of seed,
  * spec, site and cycle), the zero-overhead-when-off contract (a run
  * with no injector is cycle-identical to one with an empty plan),
@@ -412,7 +412,6 @@ TEST(HangDiagnosis, StuckCreditHangIsClassifiedInjected)
         fault::FaultInjector inj(plan, 1);
         sim::SimOptions so;
         so.fault = &inj;
-        so.hangDiagnosis = true;
         std::string json;
         try {
             runSort(so, /*useNoc=*/true);
@@ -441,7 +440,6 @@ TEST(HangDiagnosis, DramTimeoutHangIsClassifiedInjected)
     fault::FaultInjector inj(plan, 1);
     sim::SimOptions so;
     so.fault = &inj;
-    so.hangDiagnosis = true;
     bool hung = false;
     try {
         runSort(so);
@@ -479,10 +477,8 @@ TEST(HangDiagnosis, GenuineHangIsNotBlamedOnInjection)
 {
     workloads::Workload w;
     auto compiled = sabotagedSgd(w);
-    sim::SimOptions so;
-    so.hangDiagnosis = true;
     sim::Simulator simulator(compiled.program, compiled.lowering.graph,
-                             dram::DramSpec::hbm2(), so);
+                             dram::DramSpec::hbm2());
     for (const auto &[tid, data] : w.dramInputs)
         simulator.setDramTensor(ir::TensorId(tid), data);
     bool hung = false;
@@ -496,8 +492,9 @@ TEST(HangDiagnosis, GenuineHangIsNotBlamedOnInjection)
         EXPECT_NE(r.cls, fault::HangClass::InjectedFault);
         EXPECT_FALSE(r.seeded);
         EXPECT_FALSE(r.blocked.empty());
-        if (r.cls == fault::HangClass::Deadlock)
+        if (r.cls == fault::HangClass::Deadlock) {
             EXPECT_GE(r.cycle.size(), 2u) << "deadlock without a cycle";
+        }
     }
     EXPECT_TRUE(hung);
 }
@@ -505,37 +502,24 @@ TEST(HangDiagnosis, GenuineHangIsNotBlamedOnInjection)
 TEST(HangDiagnosis, HangErrorIsAPanicError)
 {
     // The exit-code contract: HangError must be catchable as
-    // PanicError so sarac's existing catch chain maps it to exit 4.
+    // PanicError so sarac's existing catch chain maps it to exit 4,
+    // and its message names what every blocked engine waits on, with
+    // its stall-cause histogram.
     workloads::Workload w;
     auto compiled = sabotagedSgd(w);
-    sim::SimOptions so;
-    so.hangDiagnosis = true;
     sim::Simulator simulator(compiled.program, compiled.lowering.graph,
-                             dram::DramSpec::hbm2(), so);
-    for (const auto &[tid, data] : w.dramInputs)
-        simulator.setDramTensor(ir::TensorId(tid), data);
-    EXPECT_THROW(simulator.run(), PanicError);
-}
-
-TEST(HangDiagnosis, FlatPanicIncludesStallHistograms)
-{
-    // Without --hang-diagnosis the legacy panic fires, but it must now
-    // carry each blocked engine's stall-cause histogram.
-    workloads::Workload w;
-    auto compiled = sabotagedSgd(w);
-    sim::SimOptions so; // hangDiagnosis off.
-    sim::Simulator simulator(compiled.program, compiled.lowering.graph,
-                             dram::DramSpec::hbm2(), so);
+                             dram::DramSpec::hbm2());
     for (const auto &[tid, data] : w.dramInputs)
         simulator.setDramTensor(ir::TensorId(tid), data);
     try {
         simulator.run();
         FAIL() << "sabotaged graph did not hang";
     } catch (const PanicError &e) {
+        EXPECT_NE(dynamic_cast<const fault::HangError *>(&e), nullptr);
         std::string msg = e.what();
-        EXPECT_NE(msg.find("waiting on"), std::string::npos);
+        EXPECT_NE(msg.find("waiting on"), std::string::npos) << msg;
         EXPECT_NE(msg.find("stalls:"), std::string::npos)
-            << "flat deadlock panic lost the stall histograms";
+            << "hang report lost the stall histograms: " << msg;
     }
 }
 

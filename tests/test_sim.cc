@@ -14,6 +14,7 @@
 #include <sstream>
 
 #include "dram/dram.h"
+#include "fault/failure.h"
 #include "fault/fault.h"
 #include "ir/builder.h"
 #include "runtime/run.h"
@@ -580,8 +581,11 @@ TEST(CycleIdentity, InjectedReplayGoldens)
     }
 }
 
-/** A deadlocked run must still flush the trace before panicking —
- *  the timeline up to the hang is the diagnosis. */
+/** A hung run must still flush the trace before escalating — the
+ *  timeline up to the hang is the diagnosis — and the trace must carry
+ *  the classified HANG instant. Covered for both causes that stop a
+ *  run short: the event queue draining with engines blocked, and an
+ *  exhausted cycle budget (a live snapshot, never a deadlock). */
 TEST(Deadlock, FlushesTraceBeforePanic)
 {
     workloads::WorkloadConfig cfg;
@@ -602,24 +606,55 @@ TEST(Deadlock, FlushesTraceBeforePanic)
         }
     ASSERT_TRUE(sabotaged);
 
-    std::string path = testing::TempDir() + "deadlock_trace.json";
-    std::remove(path.c_str());
-    sim::SimOptions so;
-    so.traceFile = path;
-    sim::Simulator simulator(compiled.program, compiled.lowering.graph,
-                             dram::DramSpec::hbm2(), so);
-    for (const auto &[tid, data] : w.dramInputs)
-        simulator.setDramTensor(ir::TensorId(tid), data);
-    EXPECT_THROW(simulator.run(), PanicError);
+    struct Case
+    {
+        const char *name;
+        uint64_t maxCycles;
+        bool budget;
+    };
+    const Case cases[] = {
+        {"drained", sim::SimOptions{}.maxCycles, false},
+        {"budget", 50, true},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        std::string path = testing::TempDir() + "deadlock_trace_" +
+                           c.name + ".json";
+        std::remove(path.c_str());
+        sim::SimOptions so;
+        so.traceFile = path;
+        so.maxCycles = c.maxCycles;
+        sim::Simulator simulator(compiled.program,
+                                 compiled.lowering.graph,
+                                 dram::DramSpec::hbm2(), so);
+        for (const auto &[tid, data] : w.dramInputs)
+            simulator.setDramTensor(ir::TensorId(tid), data);
+        std::string cls;
+        try {
+            simulator.run();
+            ADD_FAILURE() << "sabotaged graph did not hang";
+        } catch (const fault::HangError &e) {
+            EXPECT_EQ(e.report().budgetExceeded, c.budget);
+            cls = fault::hangClassName(e.report().cls);
+        }
+        if (c.budget) {
+            EXPECT_EQ(cls, "starvation-livelock");
+        }
 
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << "no trace written on deadlock";
-    std::ostringstream os;
-    os << in.rdbuf();
-    EXPECT_GT(os.str().size(), 2u);
-    EXPECT_EQ(os.str()[0], '[');
-    EXPECT_EQ(os.str().back(), '\n');
-    std::remove(path.c_str());
+        std::ifstream in(path);
+        ASSERT_TRUE(in.good()) << "no trace written on hang";
+        std::ostringstream os;
+        os << in.rdbuf();
+        const std::string trace = os.str();
+        EXPECT_GT(trace.size(), 2u);
+        EXPECT_EQ(trace[0], '[');
+        EXPECT_EQ(trace.back(), '\n');
+        EXPECT_NE(trace.find("\"name\":\"HANG: " + cls + "\""),
+                  std::string::npos)
+            << "trace lacks the classified HANG instant";
+        EXPECT_NE(trace.find("\"name\":\"blocked: "), std::string::npos);
+        std::remove(path.c_str());
+    }
 }
 
 } // namespace

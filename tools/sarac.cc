@@ -14,7 +14,7 @@
  *
  * Options:
  *   --graph FILE       compile a sara-graph/v1 model description (see
- *                      examples/*.graph.json) instead of a built-in
+ *                      examples/NAME.graph.json) instead of a built-in
  *                      workload: the layer graph is validated, lowered
  *                      to IR (a per-layer table shows the par splits),
  *                      and then flows through the same compile /
@@ -52,7 +52,7 @@
  *                      peaks; router cells summarized) plus a text
  *                      heatmap of fabric utilization
  *
- * Fault injection & hang diagnosis:
+ * Fault injection:
  *   --inject SPEC      arm one fault model (repeatable). SPEC grammar:
  *                      kind[@prob][:site=S][:window=LO-HI][:count=N]
  *                      [:delay=D]; kinds: noc-delay, noc-dup,
@@ -60,10 +60,6 @@
  *                      fifo-leak, artifact-flip, compile-fault
  *   --inject-seed N    seed for the injection hash (default 1); the
  *                      same seed replays a faulted run cycle-exactly
- *   --hang-diagnosis   on a hang, classify deadlock vs starvation vs
- *                      injected fault from the wait-for graph instead
- *                      of the flat panic; with --json the structured
- *                      FailureReport lands in the report file
  *   --retries N        retry jobs failing with a transient error up to
  *                      N times (batch mode)
  *
@@ -79,9 +75,16 @@
  *   --metrics          dump telemetry counters (cache hits/misses,
  *                      job stats) before exiting
  *
+ * A run that hangs (drained event queue, exhausted --max-cycles, or an
+ * injected fault) prints a FailureReport classifying it from the
+ * wait-for graph as deadlock, starvation-livelock or
+ * injected-fault-induced, with every blocked engine, its stall
+ * histogram and the recent flight-recorder events; with --json the
+ * report (schema sara-failure-report/v1) lands in the report file.
+ *
  * Exit codes: 0 success; 1 verification/batch-job failure; 2 usage;
  * 3 invalid input or configuration; 4 internal error (e.g. simulator
- * deadlock).
+ * hang).
  */
 
 #include <algorithm>
@@ -121,7 +124,7 @@ usage()
                  "             [--cache] [--cache-dir DIR] "
                  "[--emit-artifact FILE] [--load-artifact FILE]\n"
                  "             [--inject SPEC ...] [--inject-seed N] "
-                 "[--hang-diagnosis] [--retries N]\n"
+                 "[--retries N]\n"
                  "             [--metrics]\n"
                  "       sarac --graph FILE [common options]\n"
                  "       sarac --batch [workload ...] [-j N] "
@@ -348,16 +351,13 @@ runSingle(CliOptions &cli)
     } catch (const fault::HangError &e) {
         // Structured escalation: the classified FailureReport lands in
         // the JSON report file (when requested) before the panic
-        // propagates to main's exit-code mapping (4).
+        // propagates to main's exit-code mapping (4). An unwritable
+        // path only warns: the hang, not the file, decides the exit.
         if (!cli.jsonFile.empty()) {
-            std::FILE *f = std::fopen(cli.jsonFile.c_str(), "w");
-            if (f) {
-                const std::string doc = e.report().json();
-                std::fwrite(doc.data(), 1, doc.size(), f);
-                std::fputc('\n', f);
-                std::fclose(f);
+            if (runtime::writeReportFile(cli.jsonFile, e.report().json()))
                 inform("wrote failure report to ", cli.jsonFile);
-            }
+            else
+                warn("cannot write failure report to ", cli.jsonFile);
         }
         throw;
     }
@@ -493,13 +493,8 @@ runBatch(CliOptions &cli)
         }
         j.endArray();
         j.endObject();
-        std::FILE *f = std::fopen(cli.jsonFile.c_str(), "w");
-        if (!f)
+        if (!runtime::writeReportFile(cli.jsonFile, j.str()))
             fatal("cannot write JSON report to ", cli.jsonFile);
-        const std::string &doc = j.str();
-        std::fwrite(doc.data(), 1, doc.size(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
         inform("wrote batch report to ", cli.jsonFile);
     }
     return report.allOk() ? 0 : 1;
@@ -586,8 +581,6 @@ realMain(int argc, char **argv)
             cli.faults.push_back(fault::parseFaultSpec(next()));
         } else if (arg == "--inject-seed") {
             cli.injectSeed = std::stoull(next());
-        } else if (arg == "--hang-diagnosis") {
-            cli.rc.sim.hangDiagnosis = true;
         } else if (arg == "--retries") {
             cli.retries = std::stoi(next());
         } else if (arg == "--trace") {
