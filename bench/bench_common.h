@@ -164,9 +164,6 @@ class BenchJson
         return *this;
     }
 
-    /** Direct writer access for nested row values (objects/arrays). */
-    json::Writer &writer() { return w_; }
-
     /** Close the document and write BENCH_<figure>.json (or `path`). */
     void
     write(std::string path = "")

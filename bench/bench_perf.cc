@@ -3,10 +3,8 @@
  * Host-throughput microbenchmark for the simulator event core. Unlike
  * the figure binaries (which reproduce *simulated* results), this one
  * measures how fast the simulator itself runs: wall-clock Mcycles/s
- * and events/s per workload, the spurious-wakeup ratio, a host
- * sampling-profiler breakdown of where the wall time goes (scheduler
- * drain, CV waits, fire path, NoC arbitration, DRAM model), and peak
- * RSS. Each workload compiles once and re-simulates `--reps` times per
+ * and events/s per workload, the spurious-wakeup ratio and peak RSS.
+ * Each workload compiles once and re-simulates `--reps` times per
  * mode. `host_ms` is the best of the reps (it sheds scheduler noise
  * and drives the throughput columns); `host_ms_median` and
  * `host_ms_iqr` (interquartile range, linear interpolation between
@@ -16,8 +14,7 @@
  * concurrently (deterministic output order; results land in
  * index-addressed slots). The default is `-j 1` because co-scheduled
  * points perturb each other's wall-times; use -j > 1 when only the
- * deterministic counters matter. The host profiler attribution is
- * only collected at -j 1 for the same reason.
+ * deterministic counters matter.
  *
  * Memory units: peak RSS is reported as `peak_rss_kib` in the JSON
  * (getrusage ru_maxrss, which is KiB on Linux) and as MiB (KiB/1024)
@@ -40,7 +37,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "support/hostprof.h"
 
 namespace sara::bench {
 namespace {
@@ -131,15 +127,11 @@ struct Measure
     double bestMs = 0.0;
     double medianMs = 0.0;
     double iqrMs = 0.0; ///< Interquartile range of the rep wall-times.
-    /** Host-profiler samples per phase (when profiled). */
-    uint64_t phase[telemetry::kNumHostPhases] = {};
-    uint64_t phaseTotal = 0;
 };
 
 Measure
 simulate(const workloads::Workload &w, runtime::RunConfig rc,
-         const runtime::RunOutcome &compiled, bool noc, int reps,
-         bool profile)
+         const runtime::RunOutcome &compiled, bool noc, int reps)
 {
     rc.check = false;
     rc.cachingCompiler = nullptr;
@@ -147,9 +139,6 @@ simulate(const workloads::Workload &w, runtime::RunConfig rc,
     rc.sim.useNoc = noc;
     rc.sim.traceFile.clear();
     Measure m;
-    auto &prof = telemetry::HostProfiler::global();
-    if (profile)
-        prof.clearSamples();
     std::vector<double> times;
     for (int r = 0; r < reps; ++r) {
         auto t0 = std::chrono::steady_clock::now();
@@ -163,12 +152,6 @@ simulate(const workloads::Workload &w, runtime::RunConfig rc,
     m.bestMs = times.front();
     m.medianMs = quantile(times, 0.5);
     m.iqrMs = quantile(times, 0.75) - quantile(times, 0.25);
-    if (profile) {
-        for (int p = 0; p < telemetry::kNumHostPhases; ++p)
-            m.phase[p] =
-                prof.samples(static_cast<telemetry::HostPhase>(p));
-        m.phaseTotal = prof.totalSamples();
-    }
     return m;
 }
 
@@ -211,13 +194,6 @@ perfMain(int argc, char **argv)
                  "Mcyc/s", "Mev/s", "wakeups", "spurious%", "rss MiB"});
     BenchJson out("perf");
 
-    // Sampling profiler: attributes each point's wall time to
-    // event-core phases (~200us per sample). Only meaningful when
-    // sweep points run one at a time.
-    const bool profile = opt.jobs == 1;
-    auto &prof = telemetry::HostProfiler::global();
-    prof.start();
-
     // One point per (workload, mode).
     struct Point
     {
@@ -228,12 +204,11 @@ perfMain(int argc, char **argv)
     sweep(pts.size(), "perf-sim", opt.jobs, [&](size_t p) {
         size_t i = p / 2;
         bool noc = (p % 2) == 1;
-        pts[p].m = simulate(ws[i], rc, compiled[i], noc, opt.reps, profile);
+        pts[p].m = simulate(ws[i], rc, compiled[i], noc, opt.reps);
         pts[p].rss = peakRssKib();
     });
 
     uint64_t totalWake = 0, totalSpur = 0;
-    uint64_t phaseAgg[telemetry::kNumHostPhases] = {};
     auto ratio = [](uint64_t spur, uint64_t wake) {
         return wake ? static_cast<double>(spur) / static_cast<double>(wake)
                     : 0.0;
@@ -246,8 +221,6 @@ perfMain(int argc, char **argv)
         double mcycS = sec > 0 ? m.sim.cycles / sec / 1e6 : 0.0;
         double mevS = sec > 0 ? m.sim.hostEvents / sec / 1e6 : 0.0;
         double spurRatio = ratio(m.sim.spuriousWakeups, m.sim.wakeups);
-        for (int ph = 0; ph < telemetry::kNumHostPhases; ++ph)
-            phaseAgg[ph] += m.phase[ph];
         totalWake += m.sim.wakeups;
         totalSpur += m.sim.spuriousWakeups;
 
@@ -271,16 +244,8 @@ perfMain(int argc, char **argv)
             .kv("mcycles_per_s", mcycS)
             .kv("events_per_s", mevS * 1e6)
             .kv("spurious_ratio", spurRatio)
-            .kv("peak_rss_kib", pts[p].rss);
-        // Wall-time attribution for this row.
-        out.writer().key("host_profile").beginObject();
-        out.writer().kv("samples", m.phaseTotal);
-        for (int ph = 0; ph < telemetry::kNumHostPhases; ++ph)
-            out.writer().kv(telemetry::hostPhaseName(
-                                static_cast<telemetry::HostPhase>(ph)),
-                            m.phase[ph]);
-        out.writer().endObject();
-        out.endRow();
+            .kv("peak_rss_kib", pts[p].rss)
+            .endRow();
     }
     std::printf("%s", table.str().c_str());
 
@@ -288,22 +253,6 @@ perfMain(int argc, char **argv)
                 100.0 * ratio(totalSpur, totalWake),
                 static_cast<unsigned long long>(totalSpur),
                 static_cast<unsigned long long>(totalWake));
-
-    prof.stop();
-    uint64_t phaseSum = 0;
-    for (int p = 0; p < telemetry::kNumHostPhases; ++p)
-        phaseSum += phaseAgg[p];
-    if (phaseSum > 0) {
-        std::printf("host profile (%llu samples):",
-                    static_cast<unsigned long long>(phaseSum));
-        for (int p = 0; p < telemetry::kNumHostPhases; ++p)
-            std::printf(" %s %.1f%%",
-                        telemetry::hostPhaseName(
-                            static_cast<telemetry::HostPhase>(p)),
-                        100.0 * static_cast<double>(phaseAgg[p]) /
-                            static_cast<double>(phaseSum));
-        std::printf("\n");
-    }
 
     out.write(opt.out);
     return 0;

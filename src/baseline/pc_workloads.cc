@@ -292,7 +292,8 @@ buildPcSgd(const WorkloadConfig &cfg)
     }
 
     for (int64_t bt = 0; bt < batches; ++bt) {
-        std::string tag = "b" + std::to_string(bt);
+        std::string tag = "b";
+        tag += std::to_string(bt);
         auto xb1 = p.addTensor("x1_" + tag, MemSpace::OnChip, batch * D);
         auto xb2 = p.addTensor("x2_" + tag, MemSpace::OnChip, batch * D);
         auto yb = p.addTensor("y_" + tag, MemSpace::OnChip, batch);

@@ -479,11 +479,12 @@ struct Lowerer
                 continue;
             const Tensor &tensor = p.tensor(TensorId(t));
             for (int s = 0; s < plan.numShards; ++s) {
-                VuId id = g().addUnit(VuKind::Memory,
-                                      "vmu_" + tensor.name +
-                                          (plan.numShards > 1
-                                               ? "#" + std::to_string(s)
-                                               : ""));
+                std::string name = "vmu_" + tensor.name;
+                if (plan.numShards > 1) {
+                    name += '#';
+                    name += std::to_string(s);
+                }
+                VuId id = g().addUnit(VuKind::Memory, name);
                 auto &u = g().unit(id);
                 u.tensor = TensorId(t);
                 u.bufferSize = plan.interleave;
@@ -745,11 +746,12 @@ struct Lowerer
                 fatal("op ", oid.v, ": a vectorized reduction may only "
                       "be consumed outside its loop (round boundary)");
         }
+        std::string name = "x";
+        name += std::to_string(oid.v);
+        name += '_';
+        name += g().unit(unit).name;
         dataStream(srcUnit, srcLop, pushLevel, unit, InputRole::Operand,
-                   popLevel,
-                   "x" + std::to_string(oid.v) + "_" +
-                       g().unit(unit).name,
-                   vec);
+                   popLevel, name, vec);
         dfg::LOp lop;
         lop.kind = OpKind::Const;
         lop.input = static_cast<int>(g().unit(unit).inputs.size() - 1);

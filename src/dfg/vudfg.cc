@@ -27,7 +27,12 @@ Vudfg::addStream(StreamKind kind, VuId src, VuId dst,
     s.kind = kind;
     s.src = src;
     s.dst = dst;
-    s.name = name.empty() ? ("s" + std::to_string(s.id.v)) : name;
+    if (name.empty()) {
+        s.name = "s";
+        s.name += std::to_string(s.id.v);
+    } else {
+        s.name = name;
+    }
     streams_.push_back(s);
     return streams_.back().id;
 }
@@ -55,6 +60,9 @@ Vudfg::outStreams(VuId id) const
 void
 Vudfg::validate() const
 {
+    auto hasStream = [this](StreamId id) {
+        return id.valid() && id.index() < streams_.size();
+    };
     for (const auto &u : units_) {
         const int n = u.chainSize();
         // Vectorization only on the innermost counter.
@@ -79,6 +87,8 @@ Vudfg::validate() const
         for (const auto &in : u.inputs) {
             SARA_ASSERT(in.level >= 0 && in.level <= n,
                         u.name, ": input level out of range");
+            SARA_ASSERT(hasStream(in.stream),
+                        u.name, ": input binds unknown stream ", in.stream.v);
             const Stream &s = stream(in.stream);
             SARA_ASSERT(s.dst == u.id, u.name, ": foreign input binding");
             SARA_ASSERT(in.level == s.popLevel,
@@ -88,6 +98,8 @@ Vudfg::validate() const
             const auto &out = u.outputs[oi];
             SARA_ASSERT(out.level >= 0 && out.level <= n,
                         u.name, ": output level out of range");
+            SARA_ASSERT(hasStream(out.stream), u.name,
+                        ": output binds unknown stream ", out.stream.v);
             const Stream &s = stream(out.stream);
             SARA_ASSERT(s.src == u.id, u.name, ": foreign output binding");
             SARA_ASSERT(out.level == s.pushLevel,
@@ -103,6 +115,7 @@ Vudfg::validate() const
         }
         if (u.kind == VuKind::MemPort) {
             SARA_ASSERT(u.memUnit.valid() &&
+                            u.memUnit.index() < units_.size() &&
                             unit(u.memUnit).kind == VuKind::Memory,
                         u.name, ": MemPort without owning VMU");
             SARA_ASSERT(u.addrLop >= 0 || u.addrInput >= 0,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "support/hostprof.h"
 #include "support/logging.h"
 
 namespace sara::dram {
@@ -47,7 +46,6 @@ DramModel::DramModel(DramSpec spec) : spec_(std::move(spec))
 DramResult
 DramModel::access(uint64_t byteAddr, uint32_t bytes, uint64_t now)
 {
-    telemetry::ScopedPhase phase(telemetry::HostPhase::Dram);
     bytes = std::max(bytes, spec_.burstBytes);
     size_t ch = (byteAddr / spec_.interleave) % spec_.channels;
     Channel &c = channels_[ch];

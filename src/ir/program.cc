@@ -33,7 +33,12 @@ Program::addCtrl(CtrlKind kind, CtrlId parent, const std::string &name)
     node.id = CtrlId(ctrls_.size());
     node.kind = kind;
     node.parent = parent;
-    node.name = name.empty() ? ("c" + std::to_string(node.id.v)) : name;
+    if (name.empty()) {
+        node.name = "c";
+        node.name += std::to_string(node.id.v);
+    } else {
+        node.name = name;
+    }
     ctrls_.push_back(node);
     if (parent.valid())
         ctrls_[parent.index()].children.push_back(node.id);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "support/hostprof.h"
 #include "support/logging.h"
 
 namespace sara::noc {
@@ -196,7 +195,6 @@ NocModel::linkSite(int idx) const
 void
 NocModel::poll(Link &link)
 {
-    telemetry::ScopedPhase phase(telemetry::HostPhase::NocArb);
     link.pollScheduled = false;
     uint64_t now = sched_->now();
     if (now < link.freeAt) {
@@ -325,9 +323,11 @@ NocModel::deliverFlit(Flit *f)
 void
 NocModel::sampleLoad()
 {
+    if (!loadSeries_)
+        return;
     uint64_t now = sched_->now();
-    loadSeries_.sample(now, static_cast<double>(inflight_));
-    busySeries_.sample(now, static_cast<double>(busyLinks_));
+    loadSeries_->sample(now, static_cast<double>(inflight_));
+    busySeries_->sample(now, static_cast<double>(busyLinks_));
 }
 
 int

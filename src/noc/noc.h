@@ -138,6 +138,18 @@ class NocModel
      *  — must outlive the model. */
     void setFlightRecorder(telemetry::FlightRecorder *f) { flight_ = f; }
 
+    /** Attach the trace's counter tracks (both null when not tracing):
+     *  sampled on every inject/deliver transition, `load` with the
+     *  flits inside the network and `busy` with the links holding a
+     *  queued flit (both vs. cycle). Not owned — must outlive the
+     *  model. */
+    void
+    setLoadSeries(telemetry::TimeSeries *load, telemetry::TimeSeries *busy)
+    {
+        loadSeries_ = load;
+        busySeries_ = busy;
+    }
+
     /** Site name ("(x,y)D") of the link with the given index, as
      *  recorded in LinkGrant flight events; "?" when out of range. */
     const std::string &linkSite(int idx) const;
@@ -152,12 +164,6 @@ class NocModel
     uint64_t inflight() const { return inflight_; }
 
     NocStats stats() const;
-
-    /** Trace counter tracks, sampled on every inject/deliver
-     *  transition: flits inside the network, and links with a queued
-     *  flit (both vs. cycle). */
-    const telemetry::TimeSeries &loadSeries() const { return loadSeries_; }
-    const telemetry::TimeSeries &busySeries() const { return busySeries_; }
 
   private:
     /** One in-network element (all lanes of one firing). */
@@ -207,6 +213,8 @@ class NocModel
     NocSpec spec_;
     const fault::FaultInjector *inj_ = nullptr;
     telemetry::FlightRecorder *flight_ = nullptr;
+    telemetry::TimeSeries *loadSeries_ = nullptr;
+    telemetry::TimeSeries *busySeries_ = nullptr;
 
     struct StreamState
     {
@@ -224,8 +232,6 @@ class NocModel
     uint64_t inflight_ = 0, peakInflight_ = 0;
     uint64_t flitsInjected_ = 0, totalHops_ = 0, totalQueueCycles_ = 0;
     int busyLinks_ = 0;
-    telemetry::TimeSeries loadSeries_{4096, 8};
-    telemetry::TimeSeries busySeries_{4096, 8};
 };
 
 } // namespace sara::noc

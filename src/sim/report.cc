@@ -324,16 +324,15 @@ Simulator::writeTrace(const fault::FailureReport *failure) const
             rPrev = v;
         }
     }
-    if (noc_) {
-        // Link-load tracks: flits inside the network and links with a
-        // queued flit, sampled on every inject/deliver transition.
-        for (const auto &[t, v] : noc_->loadSeries().samples())
-            w.counter(kSimPid, "noc-link-load", static_cast<double>(t),
-                      "flits", v);
-        for (const auto &[t, v] : noc_->busySeries().samples())
-            w.counter(kSimPid, "noc-busy-links", static_cast<double>(t),
-                      "links", v);
-    }
+    // Link-load tracks (empty without the NoC): flits inside the
+    // network and links with a queued flit, sampled on every
+    // inject/deliver transition.
+    for (const auto &[t, v] : nocLoadSeries_.samples())
+        w.counter(kSimPid, "noc-link-load", static_cast<double>(t),
+                  "flits", v);
+    for (const auto &[t, v] : nocBusySeries_.samples())
+        w.counter(kSimPid, "noc-busy-links", static_cast<double>(t),
+                  "links", v);
     if (failure) {
         // Failure annotation: one classification marker plus an
         // instant on each blocked engine's lane at the hang cycle.

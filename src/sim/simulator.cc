@@ -6,7 +6,6 @@
 
 #include "ir/interp.h"
 #include "sim/engine.h"
-#include "support/hostprof.h"
 
 namespace sara::sim {
 
@@ -103,6 +102,8 @@ Simulator::buildState()
         noc_ = std::make_unique<noc::NocModel>(sched_, opt_.noc);
         noc_->setFaultInjector(opt_.fault);
         noc_->setFlightRecorder(flight_.enabled() ? &flight_ : nullptr);
+        if (!opt_.traceFile.empty())
+            noc_->setLoadSeries(&nocLoadSeries_, &nocBusySeries_);
         for (size_t i = 0; i < g_.numStreams(); ++i)
             noc_->registerStream(g_.stream(dfg::StreamId(i)));
     }
@@ -517,7 +518,6 @@ Simulator::wrapActions(Engine &e, int k)
 void
 Simulator::evalLops(Engine &e)
 {
-    telemetry::ScopedPhase phase(telemetry::HostPhase::FirePath);
     const auto &u = *e.u;
     const int vec = e.vec;
     const int lanes = e.activeLanes;
@@ -888,18 +888,15 @@ Simulator::resolveArbitration()
         e->arbCv.notifyAll();
     }
     arbBus_.clear();
-    if (!arbDram_.empty()) {
-        telemetry::ScopedPhase phase(telemetry::HostPhase::Dram);
-        for (Engine *e : arbDram_) {
-            uint64_t maxComplete = now;
-            for (const auto &[addr, bytes] : e->stagedBursts)
-                maxComplete = std::max(
-                    maxComplete, dram_.access(addr, bytes, now).completeAt);
-            e->arbResultAt = maxComplete;
-            e->arbCv.notifyAll();
-        }
-        arbDram_.clear();
+    for (Engine *e : arbDram_) {
+        uint64_t maxComplete = now;
+        for (const auto &[addr, bytes] : e->stagedBursts)
+            maxComplete = std::max(
+                maxComplete, dram_.access(addr, bytes, now).completeAt);
+        e->arbResultAt = maxComplete;
+        e->arbCv.notifyAll();
     }
+    arbDram_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -916,14 +913,7 @@ Simulator::run()
         sched_.scheduleAt(e->task.handle(), 0);
     }
 
-    uint64_t end;
-    {
-        // The drain loop is attributed to the Scheduler bucket; inner
-        // markers (fire path, NoC arbitration, DRAM model, CV waits)
-        // re-attribute their own synchronous slices.
-        telemetry::ScopedPhase phase(telemetry::HostPhase::Scheduler);
-        end = sched_.run(opt_.maxCycles, opt_.cancel);
-    }
+    const uint64_t end = sched_.run(opt_.maxCycles, opt_.cancel);
 
     if (sched_.cancelled())
         escalate(HangCause::Cancelled);

@@ -331,6 +331,10 @@ class Simulator
      *  transferred (both vs. cycle). Only populated when tracing. */
     telemetry::TimeSeries dramOutstandingSeries_{4096, 8};
     telemetry::TimeSeries dramBytesSeries_{4096, 8};
+    /** NoC load tracks, handed to the NocModel only when tracing:
+     *  flits inside the network and links with a queued flit. */
+    telemetry::TimeSeries nocLoadSeries_{4096, 8};
+    telemetry::TimeSeries nocBusySeries_{4096, 8};
 
     struct TraceEvent
     {

@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "support/hostprof.h"
 #include "support/logging.h"
 
 namespace sara::sim {
@@ -396,7 +395,6 @@ class CondVar
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                telemetry::ScopedPhase phase(telemetry::HostPhase::CvWait);
                 cv.waiters_.push_back(h);
             }
             void await_resume() const noexcept {}
@@ -408,7 +406,6 @@ class CondVar
     void
     notifyAll()
     {
-        telemetry::ScopedPhase phase(telemetry::HostPhase::CvWait);
         for (auto h : waiters_)
             sched_->scheduleAfter(h, 0);
         waiters_.clear();

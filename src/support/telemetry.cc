@@ -105,8 +105,6 @@ SpanRecorder::nowMs() const
 int
 SpanRecorder::begin(const std::string &name)
 {
-    if (!enabled_)
-        return -1;
     Span s;
     s.name = name;
     s.startMs = nowMs();
@@ -120,8 +118,6 @@ SpanRecorder::begin(const std::string &name)
 void
 SpanRecorder::end(int idx)
 {
-    if (idx < 0)
-        return;
     SARA_ASSERT(!open_.empty() && open_.back() == idx,
                 "span ", idx, " closed out of LIFO order");
     open_.pop_back();
@@ -131,9 +127,7 @@ SpanRecorder::end(int idx)
 void
 SpanRecorder::stat(int idx, const std::string &key, double value)
 {
-    if (idx < 0)
-        return;
-    SARA_ASSERT(idx < static_cast<int>(spans_.size()),
+    SARA_ASSERT(idx >= 0 && idx < static_cast<int>(spans_.size()),
                 "stat on unknown span ", idx);
     spans_[idx].stats.emplace_back(key, value);
 }

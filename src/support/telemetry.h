@@ -135,10 +135,7 @@ class SpanRecorder
   public:
     SpanRecorder();
 
-    void setEnabled(bool enabled) { enabled_ = enabled; }
-    bool enabled() const { return enabled_; }
-
-    /** Open a span; returns its index (or -1 when disabled). */
+    /** Open a span; returns its index. */
     int begin(const std::string &name);
     /** Close the span `idx` (must be the innermost open one). */
     void end(int idx);
@@ -157,7 +154,6 @@ class SpanRecorder
     void clear();
 
   private:
-    bool enabled_ = true;
     int64_t epochNs_ = 0;
     std::vector<Span> spans_;
     std::vector<int> open_; ///< Stack of open span indices.

@@ -194,7 +194,8 @@ buildSort(const WorkloadConfig &cfg)
     TensorId src = A, dst = B;
     for (int64_t pass = 0; pass < N; ++pass) {
         int64_t parity = pass % 2;
-        std::string tag = "p" + std::to_string(pass);
+        std::string tag = "p";
+        tag += std::to_string(pass);
         auto i = b.beginLoop(tag, 0, N, 1, par.inner);
         b.beginBlock(tag + "_b");
         // pairBase = parity + 2*floor((i - parity) / 2), clamped.

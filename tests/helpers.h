@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "compiler/driver.h"
@@ -85,6 +87,17 @@ tinyOptions()
     opt.spec = arch::PlasticineSpec::tiny();
     opt.pnrIterations = 2000;
     return opt;
+}
+
+/** `prefix` followed by the decimal `i` ("c" + 3 -> "c3"). Appends
+ *  instead of using `"lit" + std::to_string(i)`, which GCC 12 flags
+ *  with a false -Wrestrict at -O3. */
+inline std::string
+numbered(const std::string &prefix, int64_t i)
+{
+    std::string s = prefix;
+    s += std::to_string(i);
+    return s;
 }
 
 } // namespace sara::test

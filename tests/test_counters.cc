@@ -4,13 +4,12 @@
  * emission, the reconciliation invariant (counter sums over unit
  * blocks equal the global stall/wakeup accounting exactly, across the
  * full workload suite on both timing models), the golden-checked
- * `--counters` rendering, the flight-recorder ring, the failure-report
- * timeline it feeds, and a host-profiler smoke test.
+ * `--counters` rendering, the flight-recorder ring and the
+ * failure-report timeline it feeds.
  */
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -19,7 +18,6 @@
 #include "runtime/run.h"
 #include "support/counters.h"
 #include "support/flight.h"
-#include "support/hostprof.h"
 #include "support/json.h"
 #include "workloads/workload.h"
 
@@ -362,78 +360,6 @@ TEST(Timeline, FlightDepthZeroDisablesIt)
                   std::string::npos);
     }
     EXPECT_TRUE(hung);
-}
-
-// ---------------------------------------------------------------------------
-// Host sampling profiler.
-// ---------------------------------------------------------------------------
-
-TEST(HostProf, PhaseNamesAreStable)
-{
-    EXPECT_STREQ(hostPhaseName(HostPhase::Other), "other");
-    EXPECT_STREQ(hostPhaseName(HostPhase::Scheduler), "scheduler");
-    EXPECT_STREQ(hostPhaseName(HostPhase::CvWait), "cv-wait");
-    EXPECT_STREQ(hostPhaseName(HostPhase::FirePath), "fire-path");
-    EXPECT_STREQ(hostPhaseName(HostPhase::NocArb), "noc-arb");
-    EXPECT_STREQ(hostPhaseName(HostPhase::Dram), "dram");
-}
-
-TEST(HostProf, DisabledMarkersAreNoOps)
-{
-    ASSERT_FALSE(HostProfiler::global().running());
-    EXPECT_FALSE(HostProfiler::enabled());
-    {
-        ScopedPhase p(HostPhase::FirePath); // One branch, no effect.
-    }
-    EXPECT_EQ(HostProfiler::global().totalSamples(), 0u);
-}
-
-TEST(HostProf, SamplesLandInMarkedPhase)
-{
-    auto &prof = HostProfiler::global();
-    prof.start(/*periodUs=*/100);
-    ASSERT_TRUE(prof.running());
-    prof.clearSamples();
-    {
-        // Hold one phase long enough for the sampler to see it.
-        ScopedPhase p(HostPhase::Dram);
-        volatile uint64_t sink = 0;
-        auto t0 = std::chrono::steady_clock::now();
-        while (std::chrono::steady_clock::now() - t0 <
-               std::chrono::milliseconds(50))
-            sink = sink + 1;
-    }
-    prof.stop();
-    EXPECT_FALSE(prof.running());
-    EXPECT_GT(prof.totalSamples(), 0u)
-        << "sampler thread took no samples in 50ms";
-    EXPECT_GT(prof.samples(HostPhase::Dram), 0u);
-
-    uint64_t sum = 0;
-    for (int p = 0; p < kNumHostPhases; ++p)
-        sum += prof.samples(static_cast<HostPhase>(p));
-    EXPECT_EQ(sum, prof.totalSamples());
-
-    prof.clearSamples();
-    EXPECT_EQ(prof.totalSamples(), 0u);
-}
-
-TEST(HostProf, NestedScopesRestoreOuterPhase)
-{
-    auto &prof = HostProfiler::global();
-    prof.start(/*periodUs=*/100000); // Slow sampler; we test the marks.
-    {
-        ScopedPhase outer(HostPhase::Scheduler);
-        {
-            ScopedPhase inner(HostPhase::NocArb);
-            EXPECT_EQ(HostProfiler::exchangePhase(HostPhase::NocArb),
-                      HostPhase::NocArb);
-        }
-        // Inner scope restored the outer phase.
-        EXPECT_EQ(HostProfiler::exchangePhase(HostPhase::Scheduler),
-                  HostPhase::Scheduler);
-    }
-    prof.stop();
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * VUDFG structural tests: the validator must catch the malformed
  * graphs the compiler could otherwise hand the simulator (unbound
- * streams, mismatched binding levels, vectorized outer counters,
- * memory engines without address sources).
+ * streams, bindings to unknown streams, mismatched binding levels,
+ * vectorized outer counters, memory engines without address sources).
  */
 
 #include <gtest/gtest.h>
@@ -85,6 +85,22 @@ TEST(Vudfg, ForwardLopOperandFails)
     add.b = 0;
     g.unit(a).lops.push_back(add);
     EXPECT_THROW(g.validate(), PanicError);
+}
+
+/** A binding naming a stream id past the end panics instead of
+ *  reading out of bounds. */
+TEST(Vudfg, UnknownStreamBindingFails)
+{
+    Vudfg g;
+    VuId a = makeUnit(g);
+    g.unit(a).inputs.push_back(
+        {StreamId(g.numStreams()), InputRole::Operand, 1, true});
+    EXPECT_THROW(g.validate(), PanicError);
+
+    Vudfg h;
+    VuId b = makeUnit(h);
+    h.unit(b).outputs.push_back({StreamId(h.numStreams()), 1, -1});
+    EXPECT_THROW(h.validate(), PanicError);
 }
 
 TEST(Vudfg, MemPortNeedsAddressAndVmu)

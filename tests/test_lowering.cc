@@ -268,8 +268,8 @@ TEST(Duplicate, CopiesReadSharedBuffers)
     b.endLoop();
     // Two separate consumers sweeping the whole LUT.
     for (int c = 0; c < 2; ++c) {
-        auto l = b.beginLoop("c" + std::to_string(c), 0, 32, 1, 16);
-        b.beginBlock("rd" + std::to_string(c));
+        auto l = b.beginLoop(test::numbered("c", c), 0, 32, 1, 16);
+        b.beginBlock(test::numbered("rd", c));
         b.write(out, b.add(b.iter(l), b.cst(double(c * 32))),
                 b.read(lut, b.iter(l)));
         b.endBlock();

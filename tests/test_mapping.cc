@@ -290,7 +290,7 @@ TEST(Merge, PacksSmallUnits)
     auto out = p.addTensor("out", MemSpace::Dram, 16);
     ir::OpId prev;
     for (int i = 0; i < 12; ++i) {
-        b.beginBlock("b" + std::to_string(i));
+        b.beginBlock(test::numbered("b", i));
         ir::OpId v = prev.valid() ? b.add(prev, b.cst(1.0))
                                   : b.cst(0.0);
         prev = b.mul(v, b.cst(2.0));

@@ -6,15 +6,21 @@
  * unit-level NoC behaviour (pipelined throughput, deterministic
  * round-robin arbitration, link-buffer admission), and the end-to-end
  * acceptance bar: `--noc` changes cycle counts on a dense workload,
- * the delta lands in `StallCause::Network` with exact accounting, and
- * two identical runs are cycle-identical.
+ * the delta lands in `StallCause::Network` with exact accounting,
+ * two identical runs are cycle-identical, and a traced run carries
+ * the network and DRAM counter tracks.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <vector>
 
 #include "compiler/driver.h"
@@ -23,6 +29,8 @@
 #include "runtime/run.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
+#include "support/json.h"
+#include "tests/helpers.h"
 #include "workloads/workload.h"
 
 namespace sara {
@@ -186,7 +194,7 @@ routedStream(int id, std::vector<dfg::RouteLink> route,
 {
     dfg::Stream s;
     s.id = dfg::StreamId(id);
-    s.name = "s" + std::to_string(id);
+    s.name = test::numbered("s", id);
     s.kind = kind;
     s.route = std::move(route);
     return s;
@@ -409,6 +417,48 @@ TEST(NocSim, RepeatedRunsAreCycleIdentical)
     EXPECT_EQ(a.sim.noc.hops, b.sim.noc.hops);
     EXPECT_EQ(a.sim.noc.queueCycles, b.sim.noc.queueCycles);
     EXPECT_EQ(a.sim.noc.peakInflight, b.sim.noc.peakInflight);
+}
+
+TEST(NocSim, TracedRunEmitsCounterTracks)
+{
+    // The trace's counter tracks: a traced, DRAM-backed --noc run
+    // carries the network load series next to the DRAM series.
+    workloads::WorkloadConfig cfg;
+    cfg.par = 8;
+    auto w = workloads::buildByName("logreg", cfg);
+    runtime::RunConfig rc;
+    rc.compiler.spec = arch::PlasticineSpec::paper();
+    rc.compiler.pnrIterations = 200;
+    rc.sim.useNoc = true;
+    const std::string path = testing::TempDir() + "noc_counter_trace.json";
+    rc.sim.traceFile = path;
+    auto r = runtime::runWorkload(w, rc);
+
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "no trace written";
+    std::ostringstream os;
+    os << in.rdbuf();
+    in.close();
+    std::remove(path.c_str());
+    json::Value trace = json::parse(os.str());
+    ASSERT_TRUE(trace.isArray());
+
+    std::map<std::string, int> counts;
+    double peakLoad = 0.0;
+    for (const auto &ev : trace.arr) {
+        const json::Value *ph = ev.find("ph");
+        if (!ph || ph->str != "C")
+            continue;
+        const std::string &name = ev.at("name").str;
+        ++counts[name];
+        if (name == "noc-link-load")
+            peakLoad = std::max(peakLoad, ev.at("args").at("flits").num);
+    }
+    EXPECT_GT(counts["noc-link-load"], 0);
+    EXPECT_GT(counts["noc-busy-links"], 0);
+    EXPECT_GT(counts["dram-outstanding"], 0);
+    EXPECT_GT(peakLoad, 0.0);
+    EXPECT_LE(peakLoad, static_cast<double>(r.sim.noc.peakInflight));
 }
 
 } // namespace

@@ -30,6 +30,7 @@
 #include "support/json.h"
 #include "support/logging.h"
 #include "support/telemetry.h"
+#include "tests/helpers.h"
 
 using namespace sara;
 namespace fs = std::filesystem;
@@ -397,7 +398,7 @@ TEST(ServeServer, OverloadRejectsWithRetryHintAndRecovers)
         serve::Client client(server.socketPath());
         const int burst = 16;
         for (int i = 0; i < burst; ++i)
-            client.send(compileReq("b" + std::to_string(i), "ms", i + 1));
+            client.send(compileReq(test::numbered("b", i), "ms", i + 1));
         int ok = 0, rejected = 0, errors = 0;
         for (int i = 0; i < burst; ++i) {
             auto v = client.recv();
@@ -434,7 +435,7 @@ TEST(ServeServer, IdenticalConcurrentCompilesAreDeduped)
         serve::Client client(server.socketPath());
         const int n = 8;
         for (int i = 0; i < n; ++i)
-            client.send(compileReq("d" + std::to_string(i), "ms", 8));
+            client.send(compileReq(test::numbered("d", i), "ms", 8));
         int fresh = 0, warm = 0;
         std::string key;
         for (int i = 0; i < n; ++i) {
@@ -475,7 +476,7 @@ TEST(ServeServer, RequestStopAnswersBacklogBeforeExit)
     ASSERT_EQ(client.call(st).at("status").str, "ok");
     const int n = 4;
     for (int i = 0; i < n; ++i)
-        client.send(compileReq("q" + std::to_string(i), "ms", i + 1));
+        client.send(compileReq(test::numbered("q", i), "ms", i + 1));
     server.requestStop();
     int answered = 0;
     for (int i = 0; i < n; ++i) {
@@ -603,7 +604,7 @@ TEST(ServeServer, RejectionHintIsFiniteWithZeroCompletedSamples)
         // still in flight: every reject precedes any completion.
         const int burst = 8;
         for (int i = 0; i < burst; ++i)
-            client.send(compileReq("z" + std::to_string(i), "ms", 4));
+            client.send(compileReq(test::numbered("z", i), "ms", 4));
         int rejected = 0;
         for (int i = 0; i < burst; ++i) {
             auto v = client.recv();
