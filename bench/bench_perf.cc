@@ -9,6 +9,9 @@
  * and drives the throughput columns); `host_ms_median` and
  * `host_ms_iqr` (interquartile range, linear interpolation between
  * order statistics) give the spread a few-percent change must clear.
+ * `cpu_ms_median` is the median of the reps' thread CPU time
+ * (CLOCK_THREAD_CPUTIME_ID): on a shared host it does not count the
+ * time the thread sat descheduled, which wall time does.
  *
  * Sweep points route through the src/jobs pool: `-j N` runs them
  * concurrently (deterministic output order; results land in
@@ -34,6 +37,7 @@
 #include <cstdio>
 #include <string>
 #include <sys/resource.h>
+#include <time.h>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -107,6 +111,18 @@ peakRssKib()
     return static_cast<uint64_t>(ru.ru_maxrss);
 }
 
+/** CPU time the calling thread has used, in ms. The thread clock
+ *  counts nanoseconds; getrusage(RUSAGE_THREAD) is tick-adjusted on
+ *  Linux and read 0 ms for the 2 ms `ms` reps. */
+double
+threadCpuMs()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
 /** The q-quantile of sorted `xs` (linear interpolation between order
  *  statistics); 0 for an empty sample. */
 double
@@ -127,6 +143,7 @@ struct Measure
     double bestMs = 0.0;
     double medianMs = 0.0;
     double iqrMs = 0.0; ///< Interquartile range of the rep wall-times.
+    double cpuMedianMs = 0.0; ///< Median thread CPU time of the reps.
 };
 
 Measure
@@ -139,19 +156,23 @@ simulate(const workloads::Workload &w, runtime::RunConfig rc,
     rc.sim.useNoc = noc;
     rc.sim.traceFile.clear();
     Measure m;
-    std::vector<double> times;
+    std::vector<double> times, cpuTimes;
     for (int r = 0; r < reps; ++r) {
+        double c0 = threadCpuMs();
         auto t0 = std::chrono::steady_clock::now();
         auto out = runtime::runWorkload(w, rc);
         auto t1 = std::chrono::steady_clock::now();
+        cpuTimes.push_back(threadCpuMs() - c0);
         times.push_back(
             std::chrono::duration<double, std::milli>(t1 - t0).count());
         m.sim = std::move(out.sim);
     }
     std::sort(times.begin(), times.end());
+    std::sort(cpuTimes.begin(), cpuTimes.end());
     m.bestMs = times.front();
     m.medianMs = quantile(times, 0.5);
     m.iqrMs = quantile(times, 0.75) - quantile(times, 0.25);
+    m.cpuMedianMs = quantile(cpuTimes, 0.5);
     return m;
 }
 
@@ -191,7 +212,8 @@ perfMain(int argc, char **argv)
     });
 
     Table table({"app", "mode", "cycles", "ms", "med ms", "iqr ms",
-                 "Mcyc/s", "Mev/s", "wakeups", "spurious%", "rss MiB"});
+                 "cpu ms", "Mcyc/s", "Mev/s", "wakeups", "spurious%",
+                 "rss MiB"});
     BenchJson out("perf");
 
     // One point per (workload, mode).
@@ -226,7 +248,8 @@ perfMain(int argc, char **argv)
 
         table.addRow({name, mode, std::to_string(m.sim.cycles),
                       Table::fmt(m.bestMs, 2), Table::fmt(m.medianMs, 2),
-                      Table::fmt(m.iqrMs, 2), Table::fmt(mcycS, 2),
+                      Table::fmt(m.iqrMs, 2), Table::fmt(m.cpuMedianMs, 2),
+                      Table::fmt(mcycS, 2),
                       Table::fmt(mevS, 2), std::to_string(m.sim.wakeups),
                       Table::fmt(100.0 * spurRatio, 1),
                       Table::fmt(pts[p].rss / 1024.0, 0)});
@@ -241,6 +264,7 @@ perfMain(int argc, char **argv)
             .kv("host_ms", m.bestMs)
             .kv("host_ms_median", m.medianMs)
             .kv("host_ms_iqr", m.iqrMs)
+            .kv("cpu_ms_median", m.cpuMedianMs)
             .kv("mcycles_per_s", mcycS)
             .kv("events_per_s", mevS * 1e6)
             .kv("spurious_ratio", spurRatio)

@@ -1,7 +1,6 @@
 #include "ir/interp.h"
 
 #include <cmath>
-#include <limits>
 
 #include "support/logging.h"
 
@@ -44,34 +43,6 @@ evalScalar(OpKind kind, const double *args)
         panic("evalScalar: op ", opName(kind), " is not a scalar op");
     }
 }
-
-namespace {
-
-double
-reduceIdentity(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::RedAdd: return 0.0;
-      case OpKind::RedMul: return 1.0;
-      case OpKind::RedMin: return std::numeric_limits<double>::infinity();
-      case OpKind::RedMax: return -std::numeric_limits<double>::infinity();
-      default: panic("not a reduce op");
-    }
-}
-
-double
-reduceCombine(OpKind kind, double acc, double v)
-{
-    switch (kind) {
-      case OpKind::RedAdd: return acc + v;
-      case OpKind::RedMul: return acc * v;
-      case OpKind::RedMin: return std::fmin(acc, v);
-      case OpKind::RedMax: return std::fmax(acc, v);
-      default: panic("not a reduce op");
-    }
-}
-
-} // namespace
 
 Interpreter::Interpreter(const Program &program) : p_(program)
 {

@@ -9,11 +9,14 @@
  * workload self-checks.
  */
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
 #include "ir/program.h"
+#include "support/logging.h"
 
 namespace sara::ir {
 
@@ -30,6 +33,32 @@ struct InterpResult
 
 /** Scalar evaluation of a single non-memory, non-reduce op kind. */
 double evalScalar(OpKind kind, const double *args);
+
+/** The starting accumulator of a reduce op kind. */
+inline double
+reduceIdentity(OpKind kind)
+{
+    switch (kind) {
+      case OpKind::RedAdd: return 0.0;
+      case OpKind::RedMul: return 1.0;
+      case OpKind::RedMin: return std::numeric_limits<double>::infinity();
+      case OpKind::RedMax: return -std::numeric_limits<double>::infinity();
+      default: panic("not a reduce op");
+    }
+}
+
+/** One reduce step: `acc` combined with `v` under `kind`. */
+inline double
+reduceCombine(OpKind kind, double acc, double v)
+{
+    switch (kind) {
+      case OpKind::RedAdd: return acc + v;
+      case OpKind::RedMul: return acc * v;
+      case OpKind::RedMin: return std::fmin(acc, v);
+      case OpKind::RedMax: return std::fmax(acc, v);
+      default: panic("not a reduce op");
+    }
+}
 
 /** Executes `program` sequentially. */
 class Interpreter

@@ -14,12 +14,7 @@ NocModel::NocModel(sim::Scheduler &sched, const NocSpec &spec)
     SARA_ASSERT(spec_.hopLatency >= 1, "NoC hop latency must be >= 1");
 }
 
-NocModel::~NocModel()
-{
-    for (auto &link : links_)
-        for (Flit *f : link.q)
-            delete f;
-}
+NocModel::~NocModel() = default;
 
 void
 NocModel::registerStream(const dfg::Stream &s)
@@ -133,9 +128,8 @@ NocModel::injectAt(dfg::StreamId id, uint64_t at, DeliverFn deliver,
     // response delays differ (in-order streams).
     at = std::max(at, ss.lastInjectAt);
     ss.lastInjectAt = at;
-    Flit *f = new Flit{this,    static_cast<int>(id.index()), 0, at,
-                       at,      deliver,
-                       ctx};
+    Flit *f = newFlit();
+    *f = Flit{this, static_cast<int>(id.index()), 0, at, at, deliver, ctx};
     ++flitsInjected_;
     ++inflight_;
     peakInflight_ = std::max(peakInflight_, inflight_);
@@ -316,8 +310,18 @@ NocModel::deliverFlit(Flit *f)
     sampleLoad();
     DeliverFn deliver = f->deliver;
     void *ctx = f->ctx;
-    delete f;
+    freeFlits_.push_back(f);
     deliver(ctx);
+}
+
+NocModel::Flit *
+NocModel::newFlit()
+{
+    if (freeFlits_.empty())
+        return &flits_.emplace_back();
+    Flit *f = freeFlits_.back();
+    freeFlits_.pop_back();
+    return f;
 }
 
 void

@@ -207,6 +207,8 @@ class NocModel
     void poll(Link &link);
     void grant(Link &link, size_t qPos);
     void deliverFlit(Flit *f);
+    /** A recycled flit from freeFlits_, else a fresh one in flits_. */
+    Flit *newFlit();
     void sampleLoad();
 
     sim::Scheduler *sched_;
@@ -225,6 +227,12 @@ class NocModel
     };
     std::vector<StreamState> streams_; ///< Indexed by stream id.
     int numStreams_ = 0;               ///< Round-robin modulus.
+
+    /** Every flit ever allocated (stable addresses; freed with the
+     *  model, in-flight ones included) and the delivered ones that
+     *  injectAt reuses. */
+    std::deque<Flit> flits_;
+    std::vector<Flit *> freeFlits_;
 
     std::deque<Link> links_; ///< Stable addresses (CondVar refs).
     std::map<dfg::RouteLink, int> linkIndex_;

@@ -72,6 +72,7 @@ struct Simulator::Engine
     std::vector<double> redAcc;
 
     // Memory / AG state.
+    MemGroup *group = nullptr; ///< MemPort: its tensor's storage group.
     int bufPtr = 0;
     int outstanding = 0;
     CondVar agCv;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "ir/interp.h"
 #include "sim/engine.h"
@@ -15,32 +14,6 @@ using dfg::StreamKind;
 using dfg::VuKind;
 
 namespace {
-
-double
-reduceIdentity(ir::OpKind kind)
-{
-    switch (kind) {
-      case ir::OpKind::RedAdd: return 0.0;
-      case ir::OpKind::RedMul: return 1.0;
-      case ir::OpKind::RedMin:
-        return std::numeric_limits<double>::infinity();
-      case ir::OpKind::RedMax:
-        return -std::numeric_limits<double>::infinity();
-      default: panic("not a reduce op");
-    }
-}
-
-double
-reduceCombine(ir::OpKind kind, double acc, double v)
-{
-    switch (kind) {
-      case ir::OpKind::RedAdd: return acc + v;
-      case ir::OpKind::RedMul: return acc * v;
-      case ir::OpKind::RedMin: return std::fmin(acc, v);
-      case ir::OpKind::RedMax: return std::fmax(acc, v);
-      default: panic("not a reduce op");
-    }
-}
 
 bool
 isArith(ir::OpKind kind)
@@ -195,6 +168,11 @@ Simulator::buildState()
                                              isArith(lop.kind)))
                 ++e->arithLops;
         }
+        if (u.kind == VuKind::MemPort) {
+            auto it = groups_.find(u.tensor.v);
+            SARA_ASSERT(it != groups_.end(), u.name, ": no memory group");
+            e->group = &it->second;
+        }
         e->agCv.bind(sched_);
         e->arbCv.bind(sched_);
         e->sim = this;
@@ -231,6 +209,26 @@ Task
 Simulator::awaitNonEmpty(Engine &e, FifoState &f, StallCause cause,
                          const char *why)
 {
+    if (f.empty())
+        return blockUntilNonEmpty(e, f, cause, why);
+    e.unpark();
+    return {};
+}
+
+Task
+Simulator::awaitSpace(Engine &e, FifoState &f, StallCause cause,
+                      const char *why)
+{
+    if (!f.hasSpace() || !f.canInject())
+        return blockUntilSpace(e, f, cause, why);
+    e.unpark();
+    return {};
+}
+
+Task
+Simulator::blockUntilNonEmpty(Engine &e, FifoState &f, StallCause cause,
+                              const char *why)
+{
     while (f.empty()) {
         e.parkOn(Engine::WaitKind::StreamData, f.spec().id.v, why);
         uint64_t blockedAt = sched_.now();
@@ -243,8 +241,8 @@ Simulator::awaitNonEmpty(Engine &e, FifoState &f, StallCause cause,
 }
 
 Task
-Simulator::awaitSpace(Engine &e, FifoState &f, StallCause cause,
-                      const char *why)
+Simulator::blockUntilSpace(Engine &e, FifoState &f, StallCause cause,
+                           const char *why)
 {
     // Two independent admission gates, each with its own attribution:
     // the end-to-end credit window (consumer backpressure -> `cause`,
@@ -302,18 +300,17 @@ Simulator::runLevel(Engine &e, int k)
         e.curMin[k] = c.min;
         e.curStep[k] = c.step;
         e.curMax[k] = c.max;
-        auto resolve = [&](int bindingIdx, int64_t &slot) -> Task {
-            auto &f = fifos_[u.inputs[bindingIdx].stream.index()];
+        const int boundInput[3] = {c.minInput, c.stepInput, c.maxInput};
+        int64_t *boundSlot[3] = {&e.curMin[k], &e.curStep[k],
+                                 &e.curMax[k]};
+        for (int b = 0; b < 3; ++b) {
+            if (boundInput[b] < 0)
+                continue;
+            auto &f = fifos_[u.inputs[boundInput[b]].stream.index()];
             co_await awaitNonEmpty(e, f, StallCause::InputData,
                                    "loop bound");
-            slot = std::llround(f.front()[0]);
-        };
-        if (c.minInput >= 0)
-            co_await resolve(c.minInput, e.curMin[k]);
-        if (c.stepInput >= 0)
-            co_await resolve(c.stepInput, e.curStep[k]);
-        if (c.maxInput >= 0)
-            co_await resolve(c.maxInput, e.curMax[k]);
+            *boundSlot[b] = std::llround(f.front()[0]);
+        }
     }
 
     // Branch predicates conditioning rounds of level k. All are read
@@ -349,7 +346,7 @@ Simulator::runLevel(Engine &e, int k)
         const auto &lop = u.lops[i];
         if (ir::isReduceOp(lop.kind) && lop.counter == k) {
             for (int l = 0; l < e.vec; ++l)
-                e.redAcc[i * e.vec + l] = reduceIdentity(lop.kind);
+                e.redAcc[i * e.vec + l] = ir::reduceIdentity(lop.kind);
         }
     }
 
@@ -565,7 +562,7 @@ Simulator::evalLops(Engine &e)
             double *acc = &e.redAcc[i * vec];
             const double *src = &e.lv[lop.a * vec];
             for (int l = 0; l < lanes; ++l) {
-                acc[l] = reduceCombine(lop.kind, acc[l], src[l]);
+                acc[l] = ir::reduceCombine(lop.kind, acc[l], src[l]);
                 out[l] = acc[l];
             }
             break;
@@ -591,7 +588,7 @@ Simulator::combinedOutputValue(Engine &e, const dfg::OutputBinding &ob)
     if (ir::isReduceOp(lop.kind)) {
         double acc = e.redAcc[ob.lop * vec];
         for (int l = 1; l < vec; ++l)
-            acc = reduceCombine(lop.kind, acc, e.redAcc[ob.lop * vec + l]);
+            acc = ir::reduceCombine(lop.kind, acc, e.redAcc[ob.lop * vec + l]);
         return acc;
     }
     int lane = std::max(0, e.activeLanes - 1);
@@ -611,9 +608,7 @@ Task
 Simulator::applyMemPort(Engine &e, uint64_t &extraCycles)
 {
     const auto &u = *e.u;
-    auto it = groups_.find(u.tensor.v);
-    SARA_ASSERT(it != groups_.end(), u.name, ": no memory group");
-    MemGroup &grp = it->second;
+    MemGroup &grp = *e.group;
     const int lanes = e.activeLanes;
     // Every port firing moves one element per active lane.
     e.stats.bytesMoved += static_cast<uint64_t>(lanes) * 4;
@@ -931,6 +926,13 @@ Simulator::run()
     }
     if (!allDone)
         escalate(HangCause::Drained);
+    // Every engine finished: drop the completed frames and give the
+    // arena's blocks back, so the caller's next step (the interpreter
+    // check) reuses that memory instead of growing the heap.
+    for (auto &e : engines_)
+        if (e)
+            e->task = {};
+    frames_.release();
 
     SimResult result;
     result.cycles = end;

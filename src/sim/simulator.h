@@ -231,20 +231,31 @@ class Simulator
      *  overrun or cancellation. */
     SimResult run();
 
+    /** Frame source of the engine coroutines (Task allocates through
+     *  it; read heapBlocks() to see the run's frame allocations). */
+    FrameArena &frameArena() { return frames_; }
+
   private:
     struct Engine;
     struct MemGroup;
 
-    // Engine coroutines.
+    // Engine coroutines (frames from frames_).
     Task runUnit(Engine &e);
     Task runLevel(Engine &e, int k);
     Task fireOnce(Engine &e);
     Task wrapActions(Engine &e, int k);
     Task skipRound(Engine &e, int k);
+    // FIFO gates: when the gate is open these unpark `e` and return an
+    // empty Task (awaiting it is free); only a wait that blocks starts
+    // the park/wake/stall-accounting coroutine behind it.
     Task awaitNonEmpty(Engine &e, FifoState &f, StallCause cause,
                        const char *why);
     Task awaitSpace(Engine &e, FifoState &f, StallCause cause,
                     const char *why);
+    Task blockUntilNonEmpty(Engine &e, FifoState &f, StallCause cause,
+                            const char *why);
+    Task blockUntilSpace(Engine &e, FifoState &f, StallCause cause,
+                         const char *why);
 
     // Firing helpers.
     void evalLops(Engine &e);
@@ -346,6 +357,8 @@ class Simulator
     std::vector<TraceEvent> trace_;
 
     std::vector<FifoState> fifos_;
+    /** Declared before engines_: it outlives every frame. */
+    FrameArena frames_;
     std::vector<std::unique_ptr<Engine>> engines_;
     std::unordered_map<int32_t, MemGroup> groups_; ///< tensor id -> group.
     std::vector<std::vector<double>> dramData_;    ///< tensor id -> data.

@@ -8,12 +8,22 @@
  * parks the coroutine on a wait list, and the scheduler resumes it
  * when the condition may have changed (spurious wakeups are allowed —
  * awaiters re-check their predicate in a loop).
+ *
+ * Coroutine frames: a coroutine whose first parameter (for a member
+ * function, the object) is a FrameArenaOwner takes its frame from that
+ * owner's FrameArena, a size-class free list, so the simulator's
+ * steady state allocates nothing. Every other coroutine (the tests'
+ * free functions and lambdas) uses the global heap. Each frame carries
+ * a header naming its arena (null for the heap), so one
+ * `operator delete` returns it to where it came from.
  */
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <concepts>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <queue>
@@ -25,8 +35,126 @@
 namespace sara::sim {
 
 /**
+ * Size-class free list for coroutine frames. Blocks come from the heap
+ * once and are recycled by size class; all of them go back to the heap
+ * on release() or when the arena is destroyed, so its owner must
+ * destroy every frame first (declare the arena before anything that
+ * holds a Task). Not thread-safe: one arena serves one simulator on
+ * one thread.
+ */
+class FrameArena
+{
+  public:
+    FrameArena() = default;
+    FrameArena(const FrameArena &) = delete;
+    FrameArena &operator=(const FrameArena &) = delete;
+    ~FrameArena();
+
+    /** A block of at least `bytes`, aligned like `::operator new`. */
+    void *
+    allocate(size_t bytes)
+    {
+        size_t cls = sizeClass(bytes);
+        if (cls < kClasses && free_[cls]) {
+            FreeBlock *b = free_[cls];
+            free_[cls] = b->next;
+            return b;
+        }
+        return refill(bytes);
+    }
+
+    /** Return a block obtained from allocate(`bytes`). */
+    void
+    deallocate(void *p, size_t bytes) noexcept
+    {
+        size_t cls = sizeClass(bytes);
+        if (cls >= kClasses) {
+            heapFree(p);
+            return;
+        }
+        auto *b = static_cast<FreeBlock *>(p);
+        b->next = free_[cls];
+        free_[cls] = b;
+    }
+
+    /** Hand every pooled block back to the heap. All of them must be
+     *  free (every frame destroyed); the arena stays usable. */
+    void release();
+
+    /** Blocks taken from the heap so far: every allocate() the free
+     *  lists could not serve. */
+    uint64_t heapBlocks() const { return heapBlocks_; }
+    /** Coroutine frames served so far (allocateFrame calls). */
+    uint64_t frames() const { return frames_; }
+
+    /** A coroutine frame of `bytes` from `arena`, or from the global
+     *  heap when `arena` is null. A header in front of the frame names
+     *  the arena, so freeFrame() needs only the frame. */
+    static void *
+    allocateFrame(FrameArena *arena, size_t bytes)
+    {
+        void *raw = nullptr;
+        if (arena) {
+            ++arena->frames_;
+            raw = arena->allocate(bytes + kHeader);
+        } else {
+            raw = heapAllocate(bytes + kHeader);
+        }
+        *static_cast<FrameArena **>(raw) = arena;
+        return static_cast<std::byte *>(raw) + kHeader;
+    }
+
+    static void
+    freeFrame(void *frame, size_t bytes) noexcept
+    {
+        void *raw = static_cast<std::byte *>(frame) - kHeader;
+        if (FrameArena *arena = *static_cast<FrameArena **>(raw))
+            arena->deallocate(raw, bytes + kHeader);
+        else
+            heapFree(raw);
+    }
+
+  private:
+    struct FreeBlock
+    {
+        FreeBlock *next;
+    };
+    /** Frame header size; keeps the frame at the heap's alignment. */
+    static constexpr size_t kHeader = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+    static constexpr size_t kGranule = 16;
+    static constexpr size_t kClasses = 256; ///< Pooled blocks < 4 KiB.
+
+    static size_t
+    sizeClass(size_t bytes)
+    {
+        return (bytes + kGranule - 1) / kGranule;
+    }
+
+    // Heap paths, out of line (task.cc): the coroutine sites that
+    // inline the frame operators then see one allocator pair, never a
+    // raw `::operator new` freed through the promise's `operator
+    // delete` (which GCC's -Wmismatched-new-delete rejects).
+    void *refill(size_t bytes);
+    static void *heapAllocate(size_t bytes);
+    static void heapFree(void *p) noexcept;
+
+    std::array<FreeBlock *, kClasses> free_{};
+    std::vector<void *> blocks_; ///< Every pooled block, freed at exit.
+    uint64_t heapBlocks_ = 0;
+    uint64_t frames_ = 0;
+};
+
+/** A type whose coroutines allocate frames from its FrameArena. */
+template <class T>
+concept FrameArenaOwner = requires(T &owner) {
+    { owner.frameArena() } -> std::same_as<FrameArena &>;
+};
+
+/**
  * A coroutine task supporting nested co_await of child tasks
- * (symmetric transfer back to the parent at completion).
+ * (symmetric transfer back to the parent at completion). An empty
+ * Task is a completed child: awaiting it costs no frame and no
+ * suspension.
  */
 class Task
 {
@@ -35,6 +163,23 @@ class Task
     {
         std::coroutine_handle<> continuation;
         std::exception_ptr exception;
+
+        template <FrameArenaOwner Owner, class... Args>
+        static void *
+        operator new(size_t bytes, Owner &owner, Args &...)
+        {
+            return FrameArena::allocateFrame(&owner.frameArena(), bytes);
+        }
+        static void *
+        operator new(size_t bytes)
+        {
+            return FrameArena::allocateFrame(nullptr, bytes);
+        }
+        static void
+        operator delete(void *frame, size_t bytes) noexcept
+        {
+            FrameArena::freeFrame(frame, bytes);
+        }
 
         Task
         get_return_object()
@@ -106,7 +251,7 @@ class Task
         void
         await_resume()
         {
-            if (child.promise().exception)
+            if (child && child.promise().exception)
                 std::rethrow_exception(child.promise().exception);
         }
     };

@@ -3,7 +3,8 @@
  * Event-core tests: the two-level calendar-queue Scheduler replayed
  * against a reference binary-heap implementation (the pre-optimization
  * event queue) on randomized self-scheduling workloads, plus direct
- * wheel-boundary, cycle-budget, and CondVar wait-list order checks.
+ * wheel-boundary, cycle-budget, and CondVar wait-list order checks,
+ * and the coroutine frame arena.
  * The property tests pin the determinism contract: events execute in
  * exact (time, scheduling-seq) order no matter which queue holds them.
  */
@@ -14,6 +15,8 @@
 #include <deque>
 #include <iterator>
 #include <queue>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -344,6 +347,100 @@ TEST(CondVar, NotifyResumesInParkOrderAndReparksGoBehindNewcomers)
     for (Task *t : {&a, &b, &c, &d})
         EXPECT_TRUE(t->done());
     EXPECT_FALSE(cv.hasWaiters());
+}
+
+// --- Coroutine frame arena ------------------------------------------------
+
+TEST(FrameArena, FreedBlockIsHandedOutAgainForItsSizeClass)
+{
+    FrameArena arena;
+    void *a = arena.allocate(100);
+    void *b = arena.allocate(100);
+    EXPECT_NE(a, b);
+    EXPECT_EQ(arena.heapBlocks(), 2u);
+    arena.deallocate(a, 100);
+    EXPECT_EQ(arena.allocate(100), a);
+    EXPECT_EQ(arena.heapBlocks(), 2u);
+    // Another size class does not take the freed block.
+    arena.deallocate(b, 100);
+    EXPECT_NE(arena.allocate(1000), b);
+    EXPECT_EQ(arena.allocate(100), b);
+    EXPECT_EQ(arena.heapBlocks(), 3u);
+}
+
+TEST(FrameArena, ReleaseRefusesLiveBlocksAndKeepsTheArenaUsable)
+{
+    FrameArena arena;
+    void *a = arena.allocate(100);
+    EXPECT_THROW(arena.release(), PanicError);
+    arena.deallocate(a, 100);
+    arena.release();
+    arena.deallocate(arena.allocate(100), 100);
+    EXPECT_EQ(arena.heapBlocks(), 2u);
+}
+
+/** A FrameArenaOwner: its member coroutines take frames from `arena`. */
+struct ArenaHost
+{
+    FrameArena arena;
+    FrameArena &frameArena() { return arena; }
+
+    Task
+    failingChild()
+    {
+        throw std::runtime_error("child failed");
+        co_return;
+    }
+
+    Task
+    parent(std::string &caught)
+    {
+        try {
+            co_await failingChild();
+        } catch (const std::runtime_error &e) {
+            caught = e.what();
+        }
+    }
+
+    Task
+    parked(CondVar &cv)
+    {
+        co_await cv.wait();
+    }
+};
+
+TEST(FrameArena, NestedChildExceptionReachesItsParent)
+{
+    ArenaHost host;
+    std::string caught;
+    {
+        Task t = host.parent(caught);
+        t.handle().resume();
+        EXPECT_TRUE(t.done());
+        t.rethrowIfFailed(); // The parent handled it.
+    }
+    EXPECT_EQ(caught, "child failed");
+    EXPECT_EQ(host.arena.frames(), 2u);
+    EXPECT_EQ(host.arena.heapBlocks(), 2u);
+}
+
+TEST(FrameArena, TaskDestroyedWhileSuspendedReturnsItsFrame)
+{
+    ArenaHost host;
+    Scheduler sched;
+    CondVar cv(sched);
+    void *frame = nullptr;
+    {
+        Task t = host.parked(cv);
+        t.handle().resume();
+        ASSERT_FALSE(t.done());
+        ASSERT_TRUE(cv.hasWaiters());
+        frame = t.handle().address();
+    } // Destroyed while parked; the wait list is never notified.
+    Task again = host.parked(cv);
+    EXPECT_EQ(again.handle().address(), frame);
+    EXPECT_EQ(host.arena.frames(), 2u);
+    EXPECT_EQ(host.arena.heapBlocks(), 1u);
 }
 
 } // namespace

@@ -657,5 +657,37 @@ TEST(Deadlock, FlushesTraceBeforePanic)
     }
 }
 
+/** Engine coroutine frames come from the simulator's arena and are
+ *  recycled. The heap blocks a full run takes are bounded by the
+ *  frames alive at once (a few per engine), not by the firings; and a
+ *  FIFO wait whose gate is open costs no frame, so the frames served
+ *  stay within the per-firing coroutines (runLevel, fireOnce,
+ *  wrapActions and a memory apply) plus one per wait that blocked,
+ *  which always ends in a wakeup. */
+TEST(FrameArena, SimulationRecyclesFramesAndSkipsReadyWaits)
+{
+    workloads::WorkloadConfig cfg;
+    auto w = workloads::buildByName("mlp", cfg);
+    auto compiled = compiler::compile(w.program, {});
+    sim::Simulator simulator(compiled.program, compiled.lowering.graph,
+                             dram::DramSpec::hbm2());
+    for (const auto &[tid, data] : w.dramInputs)
+        simulator.setDramTensor(ir::TensorId(tid), data);
+    auto r = simulator.run();
+
+    uint64_t engines = 0, rounds = 0;
+    for (const auto &u : compiled.lowering.graph.units())
+        if (u.kind != dfg::VuKind::Memory)
+            ++engines;
+    for (const auto &s : r.unitStats)
+        rounds += s.firings + s.skips;
+    const FrameArena &arena = simulator.frameArena();
+    ASSERT_GT(rounds, 100 * engines);
+    EXPECT_LE(arena.heapBlocks(), 8 * engines);
+    // Measured on mlp: 4.0 frames per round; with a frame for every
+    // FIFO wait it was 6.0.
+    EXPECT_LE(arena.frames(), 5 * rounds + r.wakeups);
+}
+
 } // namespace
 } // namespace sara
